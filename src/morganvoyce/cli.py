@@ -4,7 +4,8 @@ Data goes to stdout (or --output PATH), diagnostics to stderr.  Formats:
 json (object with "meta" and "rows"), csv, tsv.  Big integers and exact
 rationals serialize as decimal strings so a JSON round trip is lossless;
 floats use the shortest round-trip decimal.  Exit codes: 0 success, 2 usage
-error, 1 internal assertion failure.  Identical invocations produce
+error (an unwritable --output or an integer beyond the int-to-str digit limit
+included), 1 internal assertion failure.  Identical invocations produce
 byte-identical output.
 """
 
@@ -238,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("clt", help="Kolmogorov distance vs Berry-Esseen bound per n")
     p.add_argument("--n", type=int, action="append", required=True, help="repeatable")
-    p.add_argument("--grid", type=_grid, default=(-3.0, 3.0, 601), help="LO:HI:STEPS")
+    p.add_argument("--grid", type=_grid, default=limits.DEFAULT_GRID, help="LO:HI:STEPS")
     p.set_defaults(run=_cmd_clt)
 
     p = sub.add_parser("local-table", help="center ratio and scaled local-limit error per n")
@@ -276,11 +277,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"morganvoyce {args.command}: internal check failed: {exc}", file=sys.stderr)
         return 1
 
-    if args.output is None:
-        _emit(rows, meta, args.format, sys.stdout)
-    else:
-        with open(args.output, "w", newline="") as out:
-            _emit(rows, meta, args.format, out)
+    try:
+        if args.output is None:
+            _emit(rows, meta, args.format, sys.stdout)
+        else:
+            with open(args.output, "w", newline="") as out:
+                _emit(rows, meta, args.format, out)
+    except OSError as exc:  # the output path cannot be opened or written
+        print(f"morganvoyce {args.command}: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    except ValueError:  # str() of an integer beyond the interpreter's digit limit
+        print(
+            f"morganvoyce {args.command}: an output integer exceeds Python's "
+            f"{sys.get_int_max_str_digits()}-digit int-to-str limit; "
+            "use a smaller --count or --max-n",
+            file=sys.stderr,
+        )
+        return 2
     return 0
 
 

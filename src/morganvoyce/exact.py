@@ -41,21 +41,15 @@ def fib(n: int) -> int:
 
 
 def binom(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); 0 when k < 0 or k > n.
+    """Binomial coefficient C(n, k) via ``math.comb``; 0 when k < 0 or k > n.
 
-    Multiplicative formula with exact intermediate division (every partial
-    product C(n-k+1..n-k+i, i) is an integer), avoiding factorials.
     Out-of-range k returning 0 is relied on by callers that form C(n-1, -1).
     """
     if n < 0:
         raise ValueError(f"binom requires n >= 0, got {n}")
     if k < 0 or k > n:
         return 0
-    k = min(k, n - k)
-    out = 1
-    for i in range(1, k + 1):
-        out = out * (n - k + i) // i
-    return out
+    return math.comb(n, k)
 
 
 def fib_identity_check(n: int) -> bool:
@@ -70,19 +64,8 @@ def fib_identity_check(n: int) -> bool:
 def ratio_to_float(value: Fraction) -> float:
     """Convert an exact rational to the nearest machine float.
 
-    Scales the numerator by a power of two so the integer quotient carries
-    >= 60 significant bits, divides exactly, then rescales with ldexp.  This
+    CPython's ``int / int`` is correctly rounded at any magnitude, so this
     stays finite whenever the *value* is in float range even if numerator and
     denominator individually overflow float (F(2n) does so near n = 740).
     """
-    p, q = value.numerator, value.denominator
-    if p == 0:
-        return 0.0
-    sign = -1.0 if p < 0 else 1.0
-    p = abs(p)
-    shift = 64 + q.bit_length() - p.bit_length()
-    if shift >= 0:
-        t = (p << shift) // q
-    else:
-        t = p // (q << -shift)
-    return sign * math.ldexp(float(t), -shift)
+    return value.numerator / value.denominator

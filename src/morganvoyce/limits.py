@@ -14,15 +14,15 @@ one root at the origin.  That factorization yields
   function, in closed form and by central finite differences.
 
 Exactness lives upstream: rows, row sums, mu and sigma^2 enter as exact
-integers/rationals and are converted once per scan.  Everything downstream is
-64-bit float.  All functions are pure.
+integers/rationals and are converted once, each value by a correctly rounded
+``int / int``, in one pass over the row.  Everything downstream is 64-bit
+float.  All functions are pure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Tuple
 
 import numpy as np
@@ -51,7 +51,8 @@ __all__ = [
 SQRT5 = math.sqrt(5.0)
 BERRY_ESSEEN_C = 0.7975  # van Beek's admissible universal constant
 
-# Default local-limit scan grid: covers the bulk of the mass at desk scale.
+# Default local-limit scan grid (LO, HI, STEPS): covers the bulk of the mass
+# at desk scale.  The only copy; the CLI's --grid default reads it too.
 DEFAULT_GRID = (-3.0, 3.0, 601)
 
 _HARPER_TOL = 1e-9  # reconstruction-vs-exact guard inside harper_model
@@ -69,13 +70,12 @@ class HarperModel:
 
 @dataclass(frozen=True)
 class CltReport:
-    """Kolmogorov distance vs. the Berry-Esseen bound, plus the local sup error."""
+    """Kolmogorov distance vs. the Berry-Esseen bound 0.7975 / sigma_n."""
 
     n: int
     kolmogorov: float
     be_bound: float
     sigma: float
-    local_sup_error: float
 
 
 @dataclass(frozen=True)
@@ -118,12 +118,24 @@ def _harper_roots(n: int) -> np.ndarray:
     return np.append(2.0 - 2.0 * np.cos(j * np.pi / n), 0.0)
 
 
-def _exact_pmf_floats(n: int) -> Tuple[List[int], int, np.ndarray]:
-    """(row, F(2n), row/F(2n) as floats) with one exact division per entry."""
-    row = row_closed_form(n)
+def _row_floats(n: int) -> Tuple[List[float], List[float], float, float]:
+    """(pmf, cdf, mu_n, sigma_n) of the normalized row n, as floats.
+
+    One walk over row_closed_form(n) keeps the exact prefix sums, so
+    pmf[k] = A(n, k) / F(2n) and cdf[k] = (A(n, 0) + ... + A(n, k)) / F(2n)
+    are each a single correctly rounded int / int.  mu_n and sigma_n come
+    from the exact moment_summary.
+    """
     total = fib(2 * n)
-    probs = np.array([ratio_to_float(Fraction(a, total)) for a in row])
-    return row, total, probs
+    pmf: List[float] = []
+    cdf: List[float] = []
+    acc = 0
+    for a in row_closed_form(n):
+        acc += a
+        pmf.append(a / total)
+        cdf.append(acc / total)
+    summary = moment_summary(n)
+    return pmf, cdf, ratio_to_float(summary.mu), math.sqrt(ratio_to_float(summary.sigma2))
 
 
 def harper_model(n: int) -> HarperModel:
@@ -141,7 +153,7 @@ def harper_model(n: int) -> HarperModel:
     pmf = np.array([1.0])
     for r, p in zip(roots, success):
         pmf = np.convolve(pmf, [r * p, p])  # (r + x) / (1 + r)
-    _, _, exact = _exact_pmf_floats(n)
+    exact = np.array(_row_floats(n)[0])
     err = float(np.max(np.abs(pmf - exact)))
     if err > _HARPER_TOL:
         raise ArithmeticError(f"Harper reconstruction off by {err:.3e} at n = {n}")
@@ -160,21 +172,6 @@ def third_moment_bound_check(n: int, tol: float = 1e-12) -> bool:
     return True
 
 
-def _local_sup_error(
-    probs: np.ndarray, mu: float, sigma: float, x_lo: float, x_hi: float, steps: int
-) -> float:
-    """sup over the grid of |sigma * A*(n, floor(mu + x sigma)) - phi(x)|."""
-    worst = 0.0
-    top = len(probs) - 1
-    for x in np.linspace(x_lo, x_hi, steps):
-        k = math.floor(mu + x * sigma)
-        a = float(probs[k]) if 0 <= k <= top else 0.0
-        err = abs(sigma * a - normal_pdf(float(x)))
-        if err > worst:
-            worst = err
-    return worst
-
-
 def kolmogorov_distance(n: int) -> CltReport:
     """Exact Kolmogorov distance of the normalized row CDF from the normal CDF.
 
@@ -183,39 +180,31 @@ def kolmogorov_distance(n: int) -> CltReport:
     between jumps, scanning both sides of every jump k = 0..n gives the exact
     supremum: D_n = max_k max(|F(k) - Phi(z_k)|, |F(k-1) - Phi(z_k)|) with
     z_k = (k - mu_n)/sigma_n.  The report also carries the Berry-Esseen bound
-    0.7975/sigma_n (a violation raises) and the default-grid local sup error.
-    Rejects n < 2, where sigma = 0 and the normalization is undefined.
+    0.7975/sigma_n; a violation raises.  Rejects n < 2, where sigma = 0 and
+    the normalization is undefined.
     """
     if n < 2:
         raise ValueError(f"kolmogorov_distance requires n >= 2, got {n}")
-    row = row_closed_form(n)
-    total = fib(2 * n)
-    summary = moment_summary(n)
-    mu = ratio_to_float(summary.mu)
-    sigma = math.sqrt(ratio_to_float(summary.sigma2))
-
-    acc = 0
-    cdf = []
-    for a in row:
-        acc += a
-        cdf.append(ratio_to_float(Fraction(acc, total)))
-
+    _, cdf, mu, sigma = _row_floats(n)
     d = 0.0
     prev = 0.0
-    for k in range(n + 1):
+    for k, c in enumerate(cdf):
         phi = normal_cdf((k - mu) / sigma)
-        d = max(d, abs(cdf[k] - phi), abs(prev - phi))
-        prev = cdf[k]
+        d = max(d, abs(c - phi), abs(prev - phi))
+        prev = c
 
     bound = BERRY_ESSEEN_C / sigma
     if d > bound:
         raise ArithmeticError(f"Kolmogorov distance {d} exceeds Berry-Esseen bound {bound} at n = {n}")
-    probs = np.array([ratio_to_float(Fraction(a, total)) for a in row])
-    local = _local_sup_error(probs, mu, sigma, *DEFAULT_GRID)
-    return CltReport(n=n, kolmogorov=d, be_bound=bound, sigma=sigma, local_sup_error=local)
+    return CltReport(n=n, kolmogorov=d, be_bound=bound, sigma=sigma)
 
 
-def local_limit_error(n: int, x_lo: float = -3.0, x_hi: float = 3.0, steps: int = 601) -> float:
+def local_limit_error(
+    n: int,
+    x_lo: float = DEFAULT_GRID[0],
+    x_hi: float = DEFAULT_GRID[1],
+    steps: int = DEFAULT_GRID[2],
+) -> float:
     """sup over a uniform grid of |sigma_n A*(n, floor(mu_n + x sigma_n)) - phi(x)|.
 
     A*(n, k) = A(n, k)/F(2n), taken as 0 outside 0..n.  mu_n and sigma_n are
@@ -227,11 +216,15 @@ def local_limit_error(n: int, x_lo: float = -3.0, x_hi: float = 3.0, steps: int 
         raise ValueError(f"local_limit_error requires x_lo < x_hi, got [{x_lo}, {x_hi}]")
     if steps < 2:
         raise ValueError(f"local_limit_error requires steps >= 2, got {steps}")
-    _, _, probs = _exact_pmf_floats(n)
-    summary = moment_summary(n)
-    mu = ratio_to_float(summary.mu)
-    sigma = math.sqrt(ratio_to_float(summary.sigma2))
-    return _local_sup_error(probs, mu, sigma, x_lo, x_hi, steps)
+    pmf, _, mu, sigma = _row_floats(n)
+    worst = 0.0
+    for x in np.linspace(x_lo, x_hi, steps):
+        k = math.floor(mu + x * sigma)
+        a = pmf[k] if 0 <= k <= n else 0.0
+        err = abs(sigma * a - normal_pdf(float(x)))
+        if err > worst:
+            worst = err
+    return worst
 
 
 def local_limit_row(n: int) -> LocalLimitRow:
@@ -244,7 +237,7 @@ def local_limit_row(n: int) -> LocalLimitRow:
     if n < 2:
         raise ValueError(f"local_limit_row requires n >= 2, got {n}")
     b = math.isqrt(5 * n * n) // 5  # floor(n / sqrt(5)), no floats
-    ratio = ratio_to_float(Fraction(binom(n + b - 1, 2 * b - 1), fib(2 * n)))
+    ratio = binom(n + b - 1, 2 * b - 1) / fib(2 * n)
     scaled = abs(2.0 * math.sqrt(math.pi) * math.sqrt(n) * ratio / 5.0**0.75 - 1.0) * math.sqrt(n)
     return LocalLimitRow(n=n, ratio=ratio, scaled_error=scaled)
 

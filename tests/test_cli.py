@@ -87,6 +87,18 @@ def test_modes_csv(capsys):
     assert row5[:3] == ["5", "3", "false"]
 
 
+def test_modes_gap_float_is_correctly_rounded(capsys):
+    # at n = 449 and n = 3207 a double-rounding conversion lands one ulp off
+    code, out, _ = run(capsys, "--format", "csv", "modes", "--max-n", "3207")
+    assert code == 0
+    rows = {int(r[0]): r for r in (line.split(",") for line in out.splitlines()[1:])}
+    assert rows[449][4] == "0.19890437948111475"
+    assert rows[3207][4] == "0.38599923163488875"
+    for n in (449, 3207):
+        gap = Fraction(rows[n][3])
+        assert float(rows[n][4]) == gap.numerator / gap.denominator
+
+
 def test_pell_golden_pairs(capsys):
     code, out, _ = run(capsys, "pell", "--count", "3")
     assert code == 0
@@ -165,6 +177,22 @@ def test_output_is_deterministic(capsys):
     _, fourth, _ = run(capsys, "clt", "--n", "3", "--n", "7")
     assert json.loads(third)["rows"] == json.loads(fourth)["rows"]
     assert [int(r["n"]) for r in json.loads(third)["rows"]] == [3, 7]
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "rows.json"
+    code, out, err = run(capsys, "--output", str(target), "triangle", "--max-n", "2")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "cannot write output" in err
+
+
+def test_integer_beyond_digit_limit_exits_2(capsys):
+    # the last Pell rows have more digits than str(int) accepts by default
+    code, _, err = run(capsys, "pell", "--count", "1800")
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert "digit" in err and "--count" in err
 
 
 def test_output_file(tmp_path, capsys):

@@ -102,14 +102,15 @@ def test_ratio_to_float_exact_dyadics():
 
 def test_ratio_to_float_matches_correctly_rounded_division():
     # CPython's int/int is correctly rounded for any magnitudes: use it as the
-    # independent reference and allow one trailing ulp for the scaled route.
+    # independent reference; a correctly rounded result is unique, so no ulp
+    # of slack is allowed.
     rng = random.Random(7)
     for _ in range(5000):
         p = rng.randint(-(10**40), 10**40)
         q = rng.randint(1, 10**40)
         mine = ratio_to_float(Fraction(p, q))
         ref = Fraction(p, q).numerator / Fraction(p, q).denominator
-        assert mine == ref or abs(mine - ref) <= abs(ref) * 2.3e-16
+        assert mine == ref
 
 
 def test_ratio_to_float_survives_huge_denominators():

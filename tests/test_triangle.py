@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from morganvoyce import (
@@ -114,3 +115,11 @@ def test_reciprocal_row_values():
 def test_reciprocal_row_is_reversed_row_to_100(rows500):
     for n in range(1, 101):
         assert reciprocal_row(n) == rows500[n][::-1]
+
+
+def test_numpy_int_index_gives_exact_python_int_rows():
+    # int64 arithmetic would overflow inside the binomials at n = 100
+    for route in (row_closed_form, reciprocal_row):
+        row = route(np.int64(100))
+        assert row == route(100)
+        assert all(type(a) is int for a in row)
