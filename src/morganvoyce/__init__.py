@@ -13,86 +13,19 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .exact import ExactInt, ExactRatio, binom, fib, fib_identity_check, ratio_to_float
-from .triangle import (
-    hereditary_rows,
-    reciprocal_row,
-    row_closed_form,
-    row_hereditary,
-    row_three_term,
-    three_term_rows,
-)
-from .moments import (
-    MomentSummary,
-    deriv1_closed,
-    deriv2_closed,
-    kepler_gap,
-    moment_summary,
-    row_sum,
-)
-from .modes import (
-    ModeResult,
-    PellSolution,
-    double_mode_sequence,
-    locate_mode,
-    pell_all_solutions,
-    smallest_mode_index,
-)
-from .limits import (
-    CltReport,
-    HarperModel,
-    LocalLimitRow,
-    SingularityConstants,
-    dominant_pole,
-    harper_model,
-    kolmogorov_distance,
-    local_limit_error,
-    local_limit_row,
-    normal_cdf,
-    normal_pdf,
-    singularity_constants,
-    singularity_constants_numeric,
-    third_moment_bound_check,
-)
+from .exact import *
+from .triangle import *
+from .moments import *
+from .modes import *
+from .limits import *
 
+# each star import also binds its submodule here, so every public name is
+# declared once, in its module's __all__
 __all__ = [
     "__version__",
-    "ExactInt",
-    "ExactRatio",
-    "fib",
-    "binom",
-    "fib_identity_check",
-    "ratio_to_float",
-    "row_closed_form",
-    "row_three_term",
-    "three_term_rows",
-    "row_hereditary",
-    "hereditary_rows",
-    "reciprocal_row",
-    "MomentSummary",
-    "row_sum",
-    "deriv1_closed",
-    "deriv2_closed",
-    "moment_summary",
-    "kepler_gap",
-    "ModeResult",
-    "PellSolution",
-    "smallest_mode_index",
-    "locate_mode",
-    "double_mode_sequence",
-    "pell_all_solutions",
-    "CltReport",
-    "HarperModel",
-    "LocalLimitRow",
-    "SingularityConstants",
-    "normal_cdf",
-    "normal_pdf",
-    "harper_model",
-    "third_moment_bound_check",
-    "kolmogorov_distance",
-    "local_limit_error",
-    "local_limit_row",
-    "dominant_pole",
-    "singularity_constants",
-    "singularity_constants_numeric",
+    *exact.__all__,
+    *triangle.__all__,
+    *moments.__all__,
+    *modes.__all__,
+    *limits.__all__,
 ]

@@ -7,6 +7,14 @@ floats use the shortest round-trip decimal.  Exit codes: 0 success, 2 usage
 error (an unwritable --output or an integer beyond the int-to-str digit limit
 included), 1 internal assertion failure.  Identical invocations produce
 byte-identical output.
+
+Each table's columns are the fields of the result dataclass it reports
+(``MomentSummary``, ``ModeResult``, ``PellSolution``, ``CltReport``,
+``LocalLimitRow``, ``SingularityConstants``), in declaration order, followed
+by the float columns the command adds.  Rows are built from ``vars(result)``,
+so those dataclasses must keep their instance ``__dict__`` (no
+``slots=True``), and reordering their fields reorders the columns.  Argument
+values are validated by the library; its ``ValueError`` becomes exit 2.
 """
 
 from __future__ import annotations
@@ -101,16 +109,7 @@ def _cmd_moments(args) -> List[Dict]:
     for n in range(1, args.max_n + 1):
         s = moments.moment_summary(n)
         rows.append(
-            {
-                "n": n,
-                "u": s.u,
-                "v": s.v,
-                "w": s.w,
-                "mu": s.mu,
-                "sigma2": s.sigma2,
-                "mu_float": ratio_to_float(s.mu),
-                "sigma2_float": ratio_to_float(s.sigma2),
-            }
+            {**vars(s), "mu_float": ratio_to_float(s.mu), "sigma2_float": ratio_to_float(s.sigma2)}
         )
     return rows
 
@@ -119,83 +118,34 @@ def _cmd_modes(args) -> List[Dict]:
     rows = []
     for n in range(1, args.max_n + 1):
         r = modes.locate_mode(n)
-        rows.append(
-            {
-                "n": n,
-                "smallest_mode": r.smallest_mode,
-                "is_double": r.is_double,
-                "darroch_gap": r.darroch_gap,
-                "darroch_gap_float": ratio_to_float(r.darroch_gap),
-            }
-        )
+        rows.append({**vars(r), "darroch_gap_float": ratio_to_float(r.darroch_gap)})
     return rows
 
 
 def _cmd_pell(args) -> List[Dict]:
-    return [
-        {"k": s.k, "m": s.m, "n": s.n, "j": s.j}
-        for s in modes.double_mode_sequence(args.count)
-    ]
+    return [dict(vars(s)) for s in modes.double_mode_sequence(args.count)]
 
 
 def _cmd_clt(args) -> List[Dict]:
-    ns = sorted(set(args.n))
-    if any(n < 2 for n in ns):
-        raise ValueError("clt requires every n >= 2: a single-point row has zero variance")
     lo, hi, steps = args.grid
-    rows = []
-    for n in ns:
-        r = limits.kolmogorov_distance(n)
-        local = limits.local_limit_error(n, lo, hi, steps)
-        rows.append(
-            {
-                "n": n,
-                "kolmogorov": r.kolmogorov,
-                "be_bound": r.be_bound,
-                "sigma": r.sigma,
-                "local_sup_error": local,
-            }
-        )
-    return rows
+    return [
+        {
+            **vars(limits.kolmogorov_distance(n)),
+            "local_sup_error": limits.local_limit_error(n, lo, hi, steps),
+        }
+        for n in sorted(set(args.n))
+    ]
 
 
 def _cmd_local_table(args) -> List[Dict]:
-    ns = sorted(set(args.n))
-    if any(n < 2 for n in ns):
-        raise ValueError("local-table requires every n >= 2")
-    rows = []
-    for n in ns:
-        r = limits.local_limit_row(n)
-        rows.append({"n": n, "ratio": r.ratio, "scaled_error": r.scaled_error})
-    return rows
+    return [dict(vars(limits.local_limit_row(n))) for n in sorted(set(args.n))]
 
 
 def _cmd_singularity(args) -> List[Dict]:
-    closed = limits.singularity_constants()
-    rows = [
-        {
-            "method": "closed-form",
-            "h": "",
-            "r0": closed.r0,
-            "r1": closed.r1,
-            "r2": closed.r2,
-            "a": closed.a,
-            "b2": closed.b2,
-        }
-    ]
+    rows = [{"method": "closed-form", "h": "", **vars(limits.singularity_constants())}]
     for h in args.h:
         numeric = limits.singularity_constants_numeric(h)
-        rows.append(
-            {
-                "method": "central-difference",
-                "h": repr(h),
-                "r0": numeric.r0,
-                "r1": numeric.r1,
-                "r2": numeric.r2,
-                "a": numeric.a,
-                "b2": numeric.b2,
-            }
-        )
+        rows.append({"method": "central-difference", "h": repr(h), **vars(numeric)})
     return rows
 
 

@@ -15,8 +15,10 @@ one root at the origin.  That factorization yields
 
 Exactness lives upstream: rows, row sums, mu and sigma^2 enter as exact
 integers/rationals and are converted once, each value by a correctly rounded
-``int / int``, in one pass over the row.  Everything downstream is 64-bit
-float.  All functions are pure.
+``int / int``.  Whole-row checks (the Kolmogorov scan, the Harper
+reconstruction) walk the row once; local checks read only the single entries
+C(n+k-1, 2k-1) / F(2n) they need.  Everything downstream is 64-bit float.
+All functions are pure.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ BERRY_ESSEEN_C = 0.7975  # van Beek's admissible universal constant
 DEFAULT_GRID = (-3.0, 3.0, 601)
 
 _HARPER_TOL = 1e-9  # reconstruction-vs-exact guard inside harper_model
+_THIRD_MOMENT_TOL = 1e-12  # float slack in third_moment_bound_check
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,13 +121,12 @@ def _harper_roots(n: int) -> np.ndarray:
     return np.append(2.0 - 2.0 * np.cos(j * np.pi / n), 0.0)
 
 
-def _row_floats(n: int) -> Tuple[List[float], List[float], float, float]:
-    """(pmf, cdf, mu_n, sigma_n) of the normalized row n, as floats.
+def _row_floats(n: int) -> Tuple[List[float], List[float]]:
+    """(pmf, cdf) of the normalized row n, as floats.
 
     One walk over row_closed_form(n) keeps the exact prefix sums, so
     pmf[k] = A(n, k) / F(2n) and cdf[k] = (A(n, 0) + ... + A(n, k)) / F(2n)
-    are each a single correctly rounded int / int.  mu_n and sigma_n come
-    from the exact moment_summary.
+    are each a single correctly rounded int / int.
     """
     total = fib(2 * n)
     pmf: List[float] = []
@@ -134,8 +136,13 @@ def _row_floats(n: int) -> Tuple[List[float], List[float], float, float]:
         acc += a
         pmf.append(a / total)
         cdf.append(acc / total)
+    return pmf, cdf
+
+
+def _mu_sigma(n: int) -> Tuple[float, float]:
+    """(mu_n, sigma_n) of row n from the exact moment_summary."""
     summary = moment_summary(n)
-    return pmf, cdf, ratio_to_float(summary.mu), math.sqrt(ratio_to_float(summary.sigma2))
+    return ratio_to_float(summary.mu), math.sqrt(ratio_to_float(summary.sigma2))
 
 
 def harper_model(n: int) -> HarperModel:
@@ -160,14 +167,14 @@ def harper_model(n: int) -> HarperModel:
     return HarperModel(n=n, roots=roots, success_probs=success, pmf=pmf)
 
 
-def third_moment_bound_check(n: int, tol: float = 1e-12) -> bool:
+def third_moment_bound_check(n: int) -> bool:
     """True iff rho_j = r(1+r^2)/(1+r)^4 <= var_j = r/(1+r)^2 for every factor root."""
     if n < 2:
         raise ValueError(f"third_moment_bound_check requires n >= 2, got {n}")
     for r in _harper_roots(n):
         rho = r * (1.0 + r * r) / (1.0 + r) ** 4
         var = r / (1.0 + r) ** 2
-        if rho > var + tol:
+        if rho > var + _THIRD_MOMENT_TOL:
             return False
     return True
 
@@ -185,7 +192,8 @@ def kolmogorov_distance(n: int) -> CltReport:
     """
     if n < 2:
         raise ValueError(f"kolmogorov_distance requires n >= 2, got {n}")
-    _, cdf, mu, sigma = _row_floats(n)
+    _, cdf = _row_floats(n)
+    mu, sigma = _mu_sigma(n)
     d = 0.0
     prev = 0.0
     for k, c in enumerate(cdf):
@@ -208,7 +216,9 @@ def local_limit_error(
     """sup over a uniform grid of |sigma_n A*(n, floor(mu_n + x sigma_n)) - phi(x)|.
 
     A*(n, k) = A(n, k)/F(2n), taken as 0 outside 0..n.  mu_n and sigma_n are
-    the exact-moment values, not their asymptotic approximations.
+    the exact-moment values, not their asymptotic approximations.  Only the
+    entries the grid lands on are computed, each as C(n+k-1, 2k-1) / F(2n)
+    when k changes along the (nondecreasing) grid.
     """
     if n < 2:
         raise ValueError(f"local_limit_error requires n >= 2, got {n}")
@@ -216,11 +226,15 @@ def local_limit_error(
         raise ValueError(f"local_limit_error requires x_lo < x_hi, got [{x_lo}, {x_hi}]")
     if steps < 2:
         raise ValueError(f"local_limit_error requires steps >= 2, got {steps}")
-    pmf, _, mu, sigma = _row_floats(n)
+    mu, sigma = _mu_sigma(n)
+    total = fib(2 * n)
     worst = 0.0
+    k_prev, a = None, 0.0
     for x in np.linspace(x_lo, x_hi, steps):
         k = math.floor(mu + x * sigma)
-        a = pmf[k] if 0 <= k <= n else 0.0
+        if k != k_prev:
+            a = binom(n + k - 1, 2 * k - 1) / total if 0 <= k <= n else 0.0
+            k_prev = k
         err = abs(sigma * a - normal_pdf(float(x)))
         if err > worst:
             worst = err

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from morganvoyce import cli
+from morganvoyce import cli, limits
 
 
 def run(capsys, *argv):
@@ -120,10 +120,26 @@ def test_clt_report_values(capsys):
 
 
 def test_clt_rejects_degenerate_n(capsys):
-    code, out, err = run(capsys, "clt", "--n", "1")
-    assert code == 2
-    assert out == ""
-    assert "n >= 2" in err
+    # the library functions raise; the CLI maps their ValueError to exit 2
+    for command in ("clt", "local-table"):
+        code, out, err = run(capsys, command, "--n", "1")
+        assert code == 2
+        assert out == ""
+        assert "n >= 2" in err
+
+
+def test_clt_builds_each_row_once(capsys, monkeypatch):
+    calls = []
+    row_closed_form = limits.row_closed_form
+
+    def counted(n):
+        calls.append(n)
+        return row_closed_form(n)
+
+    monkeypatch.setattr(limits, "row_closed_form", counted)
+    code, _, _ = run(capsys, "clt", "--n", "300")
+    assert code == 0
+    assert calls == [300]
 
 
 def test_clt_accepts_grid(capsys):
@@ -131,6 +147,21 @@ def test_clt_accepts_grid(capsys):
     code, out, _ = run(capsys, "clt", "--n", "30", "--grid=-2:2:101")
     assert code == 0
     assert json.loads(out)["rows"][0]["local_sup_error"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["moments", "--max-n", "2"], "n,u,v,w,mu,sigma2,mu_float,sigma2_float"),
+        (["pell", "--count", "1"], "k,m,n,j"),
+        (["clt", "--n", "5"], "n,kolmogorov,be_bound,sigma,local_sup_error"),
+        (["singularity", "--h", "1e-3"], "method,h,r0,r1,r2,a,b2"),
+    ],
+)
+def test_csv_headers(capsys, argv, header):
+    code, out, _ = run(capsys, "--format", "csv", *argv)
+    assert code == 0
+    assert out.splitlines()[0] == header
 
 
 def test_local_table_two_significant_digits(capsys):

@@ -19,10 +19,12 @@ from morganvoyce import (
     normal_cdf,
     normal_pdf,
     ratio_to_float,
+    row_closed_form,
     singularity_constants,
     singularity_constants_numeric,
     third_moment_bound_check,
 )
+from morganvoyce.limits import DEFAULT_GRID
 
 INV_SQRT5 = 1.0 / math.sqrt(5.0)
 B2 = 2.0 / (5.0 * math.sqrt(5.0))
@@ -153,6 +155,23 @@ def test_local_limit_error_shrinks_with_n():
     assert math.isfinite(e100) and math.isfinite(e1000)
     assert e1000 < e100
     assert e1000 < 0.05
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 77, 500])
+@pytest.mark.parametrize("grid", [(), (-4.0, 4.0, 1201), (-2.0, 2.0, 101), (8.0, 8.0 + 1e-9, 2)])
+def test_local_limit_error_matches_full_row_reference(n, grid):
+    # reference: every grid point reads the whole closed-form row
+    row = row_closed_form(n)
+    total = sum(row)
+    s = moment_summary(n)
+    mu, sigma = float(s.mu), math.sqrt(float(s.sigma2))
+    lo, hi, steps = grid or DEFAULT_GRID
+    want = 0.0
+    for x in np.linspace(lo, hi, steps):
+        k = math.floor(mu + x * sigma)
+        a = row[k] / total if 0 <= k <= n else 0.0
+        want = max(want, abs(sigma * a - normal_pdf(float(x))))
+    assert local_limit_error(n, *grid) == want
 
 
 def test_local_limit_error_validates_grid():
