@@ -21,7 +21,7 @@ for n in range(1, 11):
     print(f"  n={n:2d}: sum = {row_sum(n):6d} = F({2 * n})")
 
 print()
-print("Exact mean and variance (closed forms, cross-checked internally):")
+print("Exact mean and variance (closed forms in F(2n) and F(2n+1)):")
 print(f"  {'n':>5} {'mu':>16} {'sigma^2':>16} {'mu float':>12} {'var float':>12}")
 for n in (1, 2, 3, 4, 5, 10, 20):
     s = moment_summary(n)

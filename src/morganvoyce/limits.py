@@ -23,9 +23,10 @@ All functions are pure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -121,24 +122,6 @@ def _harper_roots(n: int) -> np.ndarray:
     return np.append(2.0 - 2.0 * np.cos(j * np.pi / n), 0.0)
 
 
-def _row_floats(n: int) -> Tuple[List[float], List[float]]:
-    """(pmf, cdf) of the normalized row n, as floats.
-
-    One walk over row_closed_form(n) keeps the exact prefix sums, so
-    pmf[k] = A(n, k) / F(2n) and cdf[k] = (A(n, 0) + ... + A(n, k)) / F(2n)
-    are each a single correctly rounded int / int.
-    """
-    total = fib(2 * n)
-    pmf: List[float] = []
-    cdf: List[float] = []
-    acc = 0
-    for a in row_closed_form(n):
-        acc += a
-        pmf.append(a / total)
-        cdf.append(acc / total)
-    return pmf, cdf
-
-
 def _mu_sigma(n: int) -> Tuple[float, float]:
     """(mu_n, sigma_n) of row n from the exact moment_summary."""
     summary = moment_summary(n)
@@ -160,7 +143,8 @@ def harper_model(n: int) -> HarperModel:
     pmf = np.array([1.0])
     for r, p in zip(roots, success):
         pmf = np.convolve(pmf, [r * p, p])  # (r + x) / (1 + r)
-    exact = np.array(_row_floats(n)[0])
+    total = fib(2 * n)
+    exact = np.array([a / total for a in row_closed_form(n)])
     err = float(np.max(np.abs(pmf - exact)))
     if err > _HARPER_TOL:
         raise ArithmeticError(f"Harper reconstruction off by {err:.3e} at n = {n}")
@@ -192,7 +176,8 @@ def kolmogorov_distance(n: int) -> CltReport:
     """
     if n < 2:
         raise ValueError(f"kolmogorov_distance requires n >= 2, got {n}")
-    _, cdf = _row_floats(n)
+    total = fib(2 * n)
+    cdf = [acc / total for acc in itertools.accumulate(row_closed_form(n))]
     mu, sigma = _mu_sigma(n)
     d = 0.0
     prev = 0.0

@@ -13,11 +13,13 @@ arithmetic -- no floating-point square roots.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .moments import moment_summary
+from .exact import fib
+from .moments import deriv1_closed
 
 __all__ = [
     "ModeResult",
@@ -55,6 +57,7 @@ def smallest_mode_index(n: int) -> int:
     Equivalent to the window lower endpoint (sqrt(5n^2+1) - 1)/5 rounded up:
     5m^2 + 2m >= n^2 iff (5m+1)^2 >= 5n^2 + 1.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"smallest_mode_index requires n >= 1, got {n}")
     target = 5 * n * n + 1
@@ -64,14 +67,15 @@ def smallest_mode_index(n: int) -> int:
 
 
 def locate_mode(n: int) -> ModeResult:
-    """Smallest mode of row n, double-mode flag, and exact gap to the mean."""
+    """Smallest mode of row n, double-mode flag, and exact gap |v - m u| / u to the mean v/u."""
+    n = operator.index(n)
     m = smallest_mode_index(n)
     is_double = 5 * m * m + 2 * m == n * n
-    mu = moment_summary(n).mu
-    gap = abs(mu - m)
+    u, v = fib(2 * n), deriv1_closed(n)
+    d = abs(v - m * u)
     if is_double:
-        gap = min(gap, abs(mu - (m + 1)))
-    return ModeResult(n=n, smallest_mode=m, is_double=is_double, darroch_gap=gap)
+        d = min(d, abs(v - (m + 1) * u))
+    return ModeResult(n=n, smallest_mode=m, is_double=is_double, darroch_gap=Fraction(d, u))
 
 
 def double_mode_sequence(count: int) -> List[PellSolution]:

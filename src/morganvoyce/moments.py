@@ -2,14 +2,17 @@
 
 Write u(n) = Q_n(1), v(n) = Q_n'(1), w(n) = Q_n''(1) for the row polynomial
 Q_n.  The row sum is u(n) = F(2n); v and w have Fibonacci closed forms whose
-numerators are divisible by 5 and 25 respectively.  The normalized row is a
-probability distribution with mean mu = v/u and variance
-sigma^2 = w/u - (v/u)^2 + v/u; both are kept as exact rationals end to end,
-with float conversion left to callers at reporting boundaries.
+numerators are divisible by 5 and 25 respectively.  Those closed forms live in
+one place, the private ``_uvw(n)``, which deriv1_closed, deriv2_closed and
+moment_summary read.  The normalized row is a probability distribution with
+mean mu = v/u and variance sigma^2 = w/u - (v/u)^2 + v/u; both are kept as
+exact rationals end to end, with float conversion left to callers at
+reporting boundaries.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -49,54 +52,52 @@ def row_sum(n: int) -> int:
     return total
 
 
-def deriv1_closed(n: int) -> int:
-    """v(n) = (2n F(2n+1) + 2 F(2n) - n F(2n)) / 5, exact."""
-    if n < 0:
-        raise ValueError(f"deriv1_closed requires n >= 0, got {n}")
-    num = 2 * n * fib(2 * n + 1) + (2 - n) * fib(2 * n)
-    q, r = divmod(num, 5)
+def _uvw(n: int) -> Tuple[int, int, int]:
+    """(u, v, w) of row n from one F(2n) and one F(2n+1); a remainder in the
+    divisions by 5 and 25 raises."""
+    u = fib(2 * n)
+    f1 = fib(2 * n + 1)
+    v, r = divmod(2 * n * f1 + (2 - n) * u, 5)
     if r != 0:
         raise ArithmeticError(f"v({n}) closed form not divisible by 5")
-    return q
+    w, r = divmod((5 * n * n - n - 8) * u + 2 * n * f1, 25)
+    if r != 0:
+        raise ArithmeticError(f"w({n}) closed form not divisible by 25")
+    return u, v, w
+
+
+def deriv1_closed(n: int) -> int:
+    """v(n) = (2n F(2n+1) + 2 F(2n) - n F(2n)) / 5, exact."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"deriv1_closed requires n >= 0, got {n}")
+    return _uvw(n)[1]
 
 
 def deriv2_closed(n: int) -> int:
     """w(n) = ((5n^2 - n - 8) F(2n) + 2n F(2n+1)) / 25, exact."""
+    n = operator.index(n)
     if n < 0:
         raise ValueError(f"deriv2_closed requires n >= 0, got {n}")
-    num = (5 * n * n - n - 8) * fib(2 * n) + 2 * n * fib(2 * n + 1)
-    q, r = divmod(num, 25)
-    if r != 0:
-        raise ArithmeticError(f"w({n}) closed form not divisible by 25")
-    return q
+    return _uvw(n)[2]
 
 
 def moment_summary(n: int) -> MomentSummary:
     """Exact mean and variance of the normalized row n.
 
-    mu and sigma2 come from the Fibonacci-ratio closed forms
-        mu      = (2/5) (F(2n+1)/F(2n) - 1/2 + 1/n) n
-        sigma^2 = (4/25) (F(2n+1)/F(2n) - 1/2 - n/F(2n)^2 - 1/(2n)) n
-    and are cross-checked here against the definitional v/u and
-    w/u - (v/u)^2 + v/u; a mismatch raises (it would mean a bug, the two are
-    equal by the identity F(2n)^2 + F(2n) F(2n+1) - F(2n+1)^2 = -1).
+    One route: mu = v/u and sigma^2 = (w u - v^2 + v u) / u^2, one Fraction
+    each from the integers of _uvw(n).  Their equality with the paper's
+    Fibonacci-ratio forms is tested in tests/test_moments.py, not checked here.
 
     n = 1 is allowed (mu = 1, sigma2 = 0) although the limit-checking module
     rejects it: a zero variance cannot be normalized.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"moment_summary requires n >= 1, got {n}")
-    u = fib(2 * n)
-    f1 = fib(2 * n + 1)
-    v = deriv1_closed(n)
-    w = deriv2_closed(n)
-    ratio = Fraction(f1, u)
-    mu = Fraction(2, 5) * (ratio - Fraction(1, 2) + Fraction(1, n)) * n
-    sigma2 = Fraction(4, 25) * (ratio - Fraction(1, 2) - Fraction(n, u * u) - Fraction(1, 2 * n)) * n
-    mu_def = Fraction(v, u)
-    sigma2_def = Fraction(w, u) - mu_def * mu_def + mu_def
-    if mu != mu_def or sigma2 != sigma2_def:
-        raise ArithmeticError(f"closed-form moments disagree with v/u, w/u at n = {n}")
+    u, v, w = _uvw(n)
+    mu = Fraction(v, u)
+    sigma2 = Fraction(w * u - v * v + v * u, u * u)
     return MomentSummary(n=n, u=u, v=v, w=w, mu=mu, sigma2=sigma2)
 
 

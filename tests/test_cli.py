@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from morganvoyce import cli, limits
+from morganvoyce import cli, limits, modes
 
 
 def run(capsys, *argv):
@@ -108,6 +108,17 @@ def test_pell_golden_pairs(capsys):
         (10368, 23184),
         (3338528, 7465176),
     ]
+
+
+def test_internal_check_failure_exits_1(capsys, monkeypatch):
+    def broken(count):
+        raise ArithmeticError("double-mode iterate 1 violates the Pell equation")
+
+    monkeypatch.setattr(modes, "double_mode_sequence", broken)
+    code, out, err = run(capsys, "pell", "--count", "3")
+    assert code == 1
+    assert out == ""
+    assert "internal check failed" in err
 
 
 def test_clt_report_values(capsys):

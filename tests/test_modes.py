@@ -57,7 +57,8 @@ def test_mode_window_exact_to_500():
 
 
 def test_mode_within_unit_of_mean_to_500():
-    for n in range(2, 501):
+    # plus the second double-mode row, so the min over two modes is checked twice
+    for n in [*range(2, 501), DOUBLE_MODE_GOLDEN[1][1]]:
         r = locate_mode(n)
         assert Fraction(0) < r.darroch_gap < Fraction(1)
         # the gap really is the distance from the mean to the nearer mode

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from morganvoyce import (
@@ -12,9 +13,13 @@ from morganvoyce import (
     deriv2_closed,
     fib,
     kepler_gap,
+    kolmogorov_distance,
+    local_limit_error,
+    locate_mode,
     moment_summary,
     ratio_to_float,
     row_sum,
+    smallest_mode_index,
 )
 
 INV_SQRT5 = 1.0 / math.sqrt(5.0)
@@ -71,6 +76,35 @@ def test_moment_summary_matches_definitional_values_to_500(rows500):
         mu = Fraction(v, u)
         assert s.mu == mu
         assert s.sigma2 == Fraction(w, u) - mu * mu + mu
+
+
+def test_moments_equal_fibonacci_ratio_forms_to_2000():
+    # the closed forms of the paper, equal to v/u and w/u - (v/u)^2 + v/u by
+    # F(2n)^2 + F(2n) F(2n+1) - F(2n+1)^2 = -1
+    half = Fraction(1, 2)
+    for n in range(1, 2001):
+        u, ratio = fib(2 * n), Fraction(fib(2 * n + 1), fib(2 * n))
+        s = moment_summary(n)
+        assert s.mu == Fraction(2, 5) * (ratio - half + Fraction(1, n)) * n
+        correction = Fraction(n, u * u) + Fraction(1, 2 * n)
+        assert s.sigma2 == Fraction(4, 25) * (ratio - half - correction) * n
+
+
+def test_numpy_int_index_gives_the_python_int_results():
+    n = np.int64(100)
+    for f in (
+        deriv1_closed,
+        deriv2_closed,
+        moment_summary,
+        smallest_mode_index,
+        locate_mode,
+        kolmogorov_distance,
+        local_limit_error,
+        kepler_gap,
+    ):
+        assert f(n) == f(100), f.__name__
+    assert type(moment_summary(n).n) is int
+    assert type(locate_mode(n).n) is int
 
 
 def test_mean_is_never_integer_for_n_from_2_to_500():
