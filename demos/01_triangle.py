@@ -14,8 +14,7 @@ from morganvoyce import (
     hereditary_rows,
     reciprocal_row,
     row_closed_form,
-    row_hereditary,
-    row_three_term,
+    three_term_rows,
 )
 
 N = 10
@@ -29,10 +28,9 @@ for n in range(1, N + 1):
 
 print()
 print("Same rows from the three-term recurrence and the weighted recurrence:")
-agree = all(
-    row_closed_form(n) == row_three_term(n) == [int(c) for c in row_hereditary(n, lambda k: k)]
-    for n in range(1, N + 1)
-)
+rows_tt = three_term_rows(N)
+rows_hh = hereditary_rows(N, lambda k: k)
+agree = all(row_closed_form(n) == rows_tt[n] == rows_hh[n] for n in range(1, N + 1))
 print(f"  all three routes agree exactly for n <= {N}: {agree}")
 
 print()
@@ -54,7 +52,7 @@ print("Other weight functions, same machinery:")
 print("  g == 1     -> rows of the shifted Pascal triangle C(n-1, k-1):")
 rows_unit = hereditary_rows(6, lambda k: 1)
 for n in range(1, 7):
-    print(f"    n={n}: {[int(c) for c in rows_unit[n]][1:]}")
+    print(f"    n={n}: {rows_unit[n][1:]}")
 print("  g(k) = 1/k! -> n! * coeff(n, k) counts partitions of an n-set into")
 print("                k ordered blocks (k! times a Stirling number):")
 import math

@@ -2,20 +2,25 @@
 
 Arbitrary-precision signed integers are Python ``int``; exact rationals are
 ``fractions.Fraction`` (always stored in lowest terms with a positive
-denominator, so equality is canonical-form equality).  The aliases below name
-those roles.  Everything here is a pure function of its arguments: no global
-state, safe to call concurrently.
+denominator, so equality is canonical-form equality).  Everything here is a
+pure function of its arguments: no global state, safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
-ExactInt = int
-ExactRatio = Fraction
+__all__ = ["fib", "binom", "ratio_to_float"]
 
-__all__ = ["ExactInt", "ExactRatio", "fib", "binom", "fib_identity_check", "ratio_to_float"]
+
+def _index(n: int) -> int:
+    """n as a Python int via ``operator.index`` (numpy ints included); a bool
+    raises TypeError rather than passing as 0 or 1."""
+    if type(n) is bool:  # bool cannot be subclassed
+        raise TypeError("a row index or count must be an integer, not bool")
+    return operator.index(n)
 
 
 def fib(n: int) -> int:
@@ -25,6 +30,7 @@ def fib(n: int) -> int:
     F(2k+1) = F(k)^2 + F(k+1)^2, walking the bits of n from the top.
     O(log n) big-integer multiplications, so n up to 10**6 is practical.
     """
+    n = _index(n)
     if n < 0:
         raise ValueError(f"fib requires n >= 0, got {n}")
     if n == 0:
@@ -50,15 +56,6 @@ def binom(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def fib_identity_check(n: int) -> bool:
-    """True iff F(2n)^2 + F(2n)*F(2n+1) - F(2n+1)^2 == -1, evaluated exactly."""
-    if n < 0:
-        raise ValueError(f"fib_identity_check requires n >= 0, got {n}")
-    a = fib(2 * n)
-    b = fib(2 * n + 1)
-    return a * a + a * b - b * b == -1
 
 
 def ratio_to_float(value: Fraction) -> float:

@@ -30,7 +30,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .exact import fib, binom, ratio_to_float
+from .exact import _index, fib, binom, ratio_to_float
 from .moments import moment_summary
 from .triangle import row_closed_form
 
@@ -136,6 +136,7 @@ def harper_model(n: int) -> HarperModel:
     and verified against the exact normalized row to 1e-9; a larger deviation
     raises.  Rejects n < 2: a one-point distribution has nothing to factor.
     """
+    n = _index(n)
     if n < 2:
         raise ValueError(f"harper_model requires n >= 2, got {n}")
     roots = _harper_roots(n)
@@ -153,6 +154,7 @@ def harper_model(n: int) -> HarperModel:
 
 def third_moment_bound_check(n: int) -> bool:
     """True iff rho_j = r(1+r^2)/(1+r)^4 <= var_j = r/(1+r)^2 for every factor root."""
+    n = _index(n)
     if n < 2:
         raise ValueError(f"third_moment_bound_check requires n >= 2, got {n}")
     for r in _harper_roots(n):
@@ -174,6 +176,7 @@ def kolmogorov_distance(n: int) -> CltReport:
     0.7975/sigma_n; a violation raises.  Rejects n < 2, where sigma = 0 and
     the normalization is undefined.
     """
+    n = _index(n)
     if n < 2:
         raise ValueError(f"kolmogorov_distance requires n >= 2, got {n}")
     total = fib(2 * n)
@@ -205,6 +208,7 @@ def local_limit_error(
     entries the grid lands on are computed, each as C(n+k-1, 2k-1) / F(2n)
     when k changes along the (nondecreasing) grid.
     """
+    n = _index(n)
     if n < 2:
         raise ValueError(f"local_limit_error requires n >= 2, got {n}")
     if not x_lo < x_hi:
@@ -233,6 +237,7 @@ def local_limit_row(n: int) -> LocalLimitRow:
     isqrt(5 n^2) // 5, and the binomial and F(2n) stay exact until the final
     scaled division.  At n = 2, b = 0 makes the binomial C(1, -1) = 0.
     """
+    n = _index(n)
     if n < 2:
         raise ValueError(f"local_limit_row requires n >= 2, got {n}")
     b = math.isqrt(5 * n * n) // 5  # floor(n / sqrt(5)), no floats

@@ -13,12 +13,11 @@ arithmetic -- no floating-point square roots.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .exact import fib
+from .exact import _index, fib
 from .moments import deriv1_closed
 
 __all__ = [
@@ -57,7 +56,7 @@ def smallest_mode_index(n: int) -> int:
     Equivalent to the window lower endpoint (sqrt(5n^2+1) - 1)/5 rounded up:
     5m^2 + 2m >= n^2 iff (5m+1)^2 >= 5n^2 + 1.
     """
-    n = operator.index(n)
+    n = _index(n)
     if n < 1:
         raise ValueError(f"smallest_mode_index requires n >= 1, got {n}")
     target = 5 * n * n + 1
@@ -68,7 +67,7 @@ def smallest_mode_index(n: int) -> int:
 
 def locate_mode(n: int) -> ModeResult:
     """Smallest mode of row n, double-mode flag, and exact gap |v - m u| / u to the mean v/u."""
-    n = operator.index(n)
+    n = _index(n)
     m = smallest_mode_index(n)
     is_double = 5 * m * m + 2 * m == n * n
     u, v = fib(2 * n), deriv1_closed(n)
@@ -85,6 +84,7 @@ def double_mode_sequence(count: int) -> List[PellSolution]:
     Every solution is verified against both defining equations before being
     returned; a failure raises (it cannot happen unless the matrix is wrong).
     """
+    count = _index(count)
     if count < 1:
         raise ValueError(f"double_mode_sequence requires count >= 1, got {count}")
     out: List[PellSolution] = []
@@ -107,6 +107,7 @@ def pell_all_solutions(count: int) -> List[Tuple[int, int]]:
     the even-index iterates have j = 1 mod 5 (the ones giving double modes);
     that alternation is checked for every solution produced.
     """
+    count = _index(count)
     if count < 1:
         raise ValueError(f"pell_all_solutions requires count >= 1, got {count}")
     out: List[Tuple[int, int]] = []

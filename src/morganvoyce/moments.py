@@ -12,12 +12,11 @@ reporting boundaries.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .exact import fib
+from .exact import _index, fib
 from .triangle import row_closed_form
 
 __all__ = [
@@ -44,6 +43,7 @@ class MomentSummary:
 
 def row_sum(n: int) -> int:
     """Sum of row n, checked against F(2n) before returning."""
+    n = _index(n)
     if n < 1:
         raise ValueError(f"row_sum requires n >= 1, got {n}")
     total = sum(row_closed_form(n))
@@ -68,7 +68,7 @@ def _uvw(n: int) -> Tuple[int, int, int]:
 
 def deriv1_closed(n: int) -> int:
     """v(n) = (2n F(2n+1) + 2 F(2n) - n F(2n)) / 5, exact."""
-    n = operator.index(n)
+    n = _index(n)
     if n < 0:
         raise ValueError(f"deriv1_closed requires n >= 0, got {n}")
     return _uvw(n)[1]
@@ -76,7 +76,7 @@ def deriv1_closed(n: int) -> int:
 
 def deriv2_closed(n: int) -> int:
     """w(n) = ((5n^2 - n - 8) F(2n) + 2n F(2n+1)) / 25, exact."""
-    n = operator.index(n)
+    n = _index(n)
     if n < 0:
         raise ValueError(f"deriv2_closed requires n >= 0, got {n}")
     return _uvw(n)[2]
@@ -92,7 +92,7 @@ def moment_summary(n: int) -> MomentSummary:
     n = 1 is allowed (mu = 1, sigma2 = 0) although the limit-checking module
     rejects it: a zero variance cannot be normalized.
     """
-    n = operator.index(n)
+    n = _index(n)
     if n < 1:
         raise ValueError(f"moment_summary requires n >= 1, got {n}")
     u, v, w = _uvw(n)
@@ -107,5 +107,6 @@ def kepler_gap(n: int) -> Tuple[Fraction, Fraction]:
     Both converge (Kepler: consecutive Fibonacci ratios tend to the golden
     ratio) to 1/sqrt(5) ~ 0.4472136 and 2/(5 sqrt(5)) ~ 0.1788854.
     """
+    n = _index(n)
     s = moment_summary(n)
     return (s.mu / n, s.sigma2 / n)

@@ -3,17 +3,18 @@
 A row is a plain list indexed k = 0..n.  Every row of the integer triangle
 has A(n, 0) = 0 (the polynomials have no constant term), A(n, 1) = n, and
 A(n, n) = 1; the entries rise to a peak and fall again (log-concave, hence
-unimodal).  Three independent generation routes are provided:
+unimodal).  Three independent generation routes are provided, one function
+each:
 
-* ``row_closed_form``  -- the binomial closed form, entry by entry;
-* ``row_three_term``   -- the recurrence Q[n+2] = (2+x) Q[n+1] - Q[n];
-* ``row_hereditary``   -- the weighted-history recurrence
+* ``row_closed_form``  -- row n from the binomial closed form, entry by entry;
+* ``three_term_rows``  -- rows 0..max_n from the recurrence
+  Q[n+2] = (2+x) Q[n+1] - Q[n];
+* ``hereditary_rows``  -- rows 0..max_n of the weighted-history recurrence
   p[n] = x * sum(g(k) * p[n-k], k = 1..n), p[0] = 1, for any arithmetic
-  weight function g.  With g(k) = k this reproduces the integer triangle;
-  coefficients are exact rationals so one code path serves every g.
+  weight function g.  With g(k) = k this reproduces the integer triangle.
+  The rows compute in g's own type: int weights give int rows, and any other
+  weight is coerced to an exact Fraction, giving Fraction rows.
 
-``three_term_rows`` and ``hereditary_rows`` return all rows 0..max_n in one
-pass; the per-row functions are thin wrappers over them or over ``binom``.
 All functions are pure.
 """
 
@@ -22,13 +23,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, List
 
-from .exact import binom
+from .exact import _index, binom
 
 __all__ = [
     "row_closed_form",
-    "row_three_term",
     "three_term_rows",
-    "row_hereditary",
     "hereditary_rows",
     "reciprocal_row",
 ]
@@ -40,6 +39,7 @@ def row_closed_form(n: int) -> List[int]:
     The k = 0 entry is C(n-1, -1) = 0, carried explicitly so CDF code can
     index rows uniformly from 0.
     """
+    n = _index(n)
     if n < 1:
         raise ValueError(f"row_closed_form requires n >= 1, got {n}")
     return [binom(n + k - 1, 2 * k - 1) for k in range(n + 1)]
@@ -47,6 +47,7 @@ def row_closed_form(n: int) -> List[int]:
 
 def three_term_rows(max_n: int) -> List[List[int]]:
     """Rows 0..max_n via Q[n+2] = (2+x) Q[n+1] - Q[n], Q1 = x, Q2 = x^2 + 2x."""
+    max_n = _index(max_n)
     if max_n < 0:
         raise ValueError(f"three_term_rows requires max_n >= 0, got {max_n}")
     rows = [[1]]
@@ -66,37 +67,27 @@ def three_term_rows(max_n: int) -> List[List[int]]:
     return rows
 
 
-def row_three_term(n: int) -> List[int]:
-    """Row n of the triangle via the three-term recurrence chain."""
-    if n < 1:
-        raise ValueError(f"row_three_term requires n >= 1, got {n}")
-    return three_term_rows(n)[n]
-
-
-def hereditary_rows(max_n: int, g: Callable[[int], Fraction | int]) -> List[List[Fraction]]:
+def hereditary_rows(max_n: int, g: Callable[[int], Fraction | int]) -> List[List[Fraction | int]]:
     """Rows 0..max_n of p[n] = x * sum(g(k) * p[n-k], k = 1..n) with p[0] = 1.
 
-    g is evaluated on 1..max_n once per (n, k) pair; values are coerced to
-    Fraction.  Row n has length n + 1 with a leading exact zero.
+    g is evaluated on 1..max_n once per (n, k) pair.  A value of type int is
+    used as it is; any other value is coerced to Fraction, so int weights give
+    int rows and every other weight gives exact Fraction rows.  Row n has
+    length n + 1 with a leading exact zero (the int 0, as row 0 is [1]).
     """
+    max_n = _index(max_n)
     if max_n < 0:
         raise ValueError(f"hereditary_rows requires max_n >= 0, got {max_n}")
-    rows: List[List[Fraction]] = [[Fraction(1)]]
+    rows: List[List[Fraction | int]] = [[1]]
     for n in range(1, max_n + 1):
-        acc = [Fraction(0)] * n
+        acc = [0] * n
         for k in range(1, n + 1):
-            gk = Fraction(g(k))
+            gk = g(k)
+            gk = gk if type(gk) is int else Fraction(gk)
             for i, c in enumerate(rows[n - k]):
                 acc[i] += gk * c
-        rows.append([Fraction(0)] + acc)  # multiply by x: shift up one degree
+        rows.append([0] + acc)  # multiply by x: shift up one degree
     return rows
-
-
-def row_hereditary(n: int, g: Callable[[int], Fraction | int]) -> List[Fraction]:
-    """Row n of the generic-weight triangle for the arithmetic function g."""
-    if n < 0:
-        raise ValueError(f"row_hereditary requires n >= 0, got {n}")
-    return hereditary_rows(n, g)[n]
 
 
 def reciprocal_row(n: int) -> List[int]:
@@ -106,6 +97,7 @@ def reciprocal_row(n: int) -> List[int]:
     no extra index shift (the k = n entry is C(n-1, n) = 0, matching the
     absent constant term of the original row).
     """
+    n = _index(n)
     if n < 1:
         raise ValueError(f"reciprocal_row requires n >= 1, got {n}")
     return [binom(2 * n - k - 1, k) for k in range(n + 1)]

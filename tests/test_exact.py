@@ -7,7 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from morganvoyce import binom, fib, fib_identity_check, ratio_to_float
+from morganvoyce import binom, fib, ratio_to_float
+
+
+def fib_identity_check(n: int) -> bool:
+    """True iff F(2n)^2 + F(2n)*F(2n+1) - F(2n+1)^2 == -1, evaluated exactly."""
+    a = fib(2 * n)
+    b = fib(2 * n + 1)
+    return a * a + a * b - b * b == -1
 
 
 def test_fib_base_cases():

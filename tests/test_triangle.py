@@ -13,8 +13,6 @@ from morganvoyce import (
     hereditary_rows,
     reciprocal_row,
     row_closed_form,
-    row_hereditary,
-    row_three_term,
     three_term_rows,
 )
 
@@ -38,19 +36,24 @@ def test_closed_form_golden_rows():
 
 
 def test_three_term_golden_rows():
-    assert row_three_term(2) == [0, 2, 1]  # Q2 = x(x + 2)
-    assert row_three_term(3) == [0, 3, 4, 1]
-    assert row_three_term(7) == [0, 7, 56, 126, 120, 55, 12, 1]
+    rows = three_term_rows(7)
+    assert rows[2] == [0, 2, 1]  # Q2 = x(x + 2)
+    assert rows[3] == [0, 3, 4, 1]
+    assert rows[7] == [0, 7, 56, 126, 120, 55, 12, 1]
 
 
 def test_hereditary_integer_weight_golden_row():
-    assert row_hereditary(4, lambda k: k) == [0, 4, 10, 6, 1]
+    assert hereditary_rows(4, lambda k: k)[4] == [0, 4, 10, 6, 1]
 
 
 def test_rows_reject_bad_n():
-    for fn in (row_closed_form, row_three_term, reciprocal_row):
+    for fn in (row_closed_form, reciprocal_row):
         with pytest.raises(ValueError):
             fn(0)
+    with pytest.raises(ValueError):
+        three_term_rows(-1)
+    with pytest.raises(ValueError):
+        hereditary_rows(-1, lambda k: k)
 
 
 def test_three_routes_agree_exactly_to_200(rows500):
@@ -59,8 +62,7 @@ def test_three_routes_agree_exactly_to_200(rows500):
     for n in range(1, 201):
         closed = rows500[n]
         assert tt[n] == closed
-        assert all(c.denominator == 1 for c in hh[n])
-        assert [int(c) for c in hh[n]] == closed
+        assert hh[n] == closed
 
 
 def test_row_shape_invariants_to_500(rows500):
@@ -84,7 +86,7 @@ def test_row_shape_invariants_to_500(rows500):
 def test_unit_weight_gives_shifted_pascal():
     rows = hereditary_rows(50, lambda k: 1)
     for n in range(1, 51):
-        assert [int(c) for c in rows[n]] == [binom(n - 1, k - 1) for k in range(n + 1)]
+        assert rows[n] == [binom(n - 1, k - 1) for k in range(n + 1)]
     assert rows[5][3] == 6  # C(4, 2)
 
 
@@ -97,6 +99,19 @@ def test_reciprocal_weight_counts_block_partitions(set_partition_counts):
         for k in range(n + 1):
             assert rows[n][k] * math.factorial(n) == math.factorial(k) * stirling[k]
     assert rows[4][2] == Fraction(7, 12)  # 2! * S(4,2) / 4! with S(4,2) = 7
+
+
+def test_integer_weights_give_python_int_rows():
+    for g in (lambda k: k, lambda k: 1):
+        rows = hereditary_rows(30, g)
+        assert all(type(c) is int for row in rows for c in row)
+
+
+def test_non_int_weights_stay_exact():
+    # a non-int weight is coerced to Fraction: 0.5 is exactly 1/2, and a
+    # numpy int gives the same values as the Python int
+    assert hereditary_rows(12, lambda k: 0.5) == hereditary_rows(12, lambda k: Fraction(1, 2))
+    assert hereditary_rows(12, lambda k: np.int64(k)) == hereditary_rows(12, lambda k: k)
 
 
 def test_hereditary_rows_have_exact_zero_head():
