@@ -31,6 +31,10 @@ from .exact import ratio_to_float
 
 __all__ = ["main"]
 
+# Each size argument's largest value whose output stays within Python's
+# default int-to-str digit limit, measured per command; one more exits 2.
+_SIZE_HELP = "at most {} under Python's default 4300-digit int-to-str limit; larger exits 2"
+
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -57,10 +61,6 @@ def _cell(value) -> str:
     """Serialize one value for csv/tsv; exact types as decimal strings."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, Fraction)):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
@@ -172,19 +172,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("triangle", help="coefficient rows 1..max-n")
-    p.add_argument("--max-n", type=_positive_int, required=True)
+    p.add_argument("--max-n", type=_positive_int, required=True, help=_SIZE_HELP.format(10293))
     p.set_defaults(run=_cmd_triangle)
 
     p = sub.add_parser("moments", help="exact u, v, w, mu, sigma^2 for rows 1..max-n")
-    p.add_argument("--max-n", type=_positive_int, required=True)
+    p.add_argument("--max-n", type=_positive_int, required=True, help=_SIZE_HELP.format(5142))
     p.set_defaults(run=_cmd_moments)
 
     p = sub.add_parser("modes", help="mode location and mean gap for rows 1..max-n")
-    p.add_argument("--max-n", type=_positive_int, required=True)
+    p.add_argument("--max-n", type=_positive_int, required=True, help=_SIZE_HELP.format(10288))
     p.set_defaults(run=_cmd_modes)
 
     p = sub.add_parser("pell", help="double-mode rows from the Pell matrix recursion")
-    p.add_argument("--count", type=_positive_int, required=True)
+    p.add_argument("--count", type=_positive_int, required=True, help=_SIZE_HELP.format(1714))
     p.set_defaults(run=_cmd_pell)
 
     p = sub.add_parser("clt", help="Kolmogorov distance vs Berry-Esseen bound per n")

@@ -122,10 +122,10 @@ def _harper_roots(n: int) -> np.ndarray:
     return np.append(2.0 - 2.0 * np.cos(j * np.pi / n), 0.0)
 
 
-def _mu_sigma(n: int) -> Tuple[float, float]:
-    """(mu_n, sigma_n) of row n from the exact moment_summary."""
+def _total_mu_sigma(n: int) -> Tuple[int, float, float]:
+    """(F(2n), mu_n, sigma_n) of row n from the exact moment_summary."""
     summary = moment_summary(n)
-    return ratio_to_float(summary.mu), math.sqrt(ratio_to_float(summary.sigma2))
+    return summary.u, ratio_to_float(summary.mu), math.sqrt(ratio_to_float(summary.sigma2))
 
 
 def harper_model(n: int) -> HarperModel:
@@ -179,9 +179,8 @@ def kolmogorov_distance(n: int) -> CltReport:
     n = _index(n)
     if n < 2:
         raise ValueError(f"kolmogorov_distance requires n >= 2, got {n}")
-    total = fib(2 * n)
+    total, mu, sigma = _total_mu_sigma(n)
     cdf = [acc / total for acc in itertools.accumulate(row_closed_form(n))]
-    mu, sigma = _mu_sigma(n)
     d = 0.0
     prev = 0.0
     for k, c in enumerate(cdf):
@@ -215,16 +214,15 @@ def local_limit_error(
         raise ValueError(f"local_limit_error requires x_lo < x_hi, got [{x_lo}, {x_hi}]")
     if steps < 2:
         raise ValueError(f"local_limit_error requires steps >= 2, got {steps}")
-    mu, sigma = _mu_sigma(n)
-    total = fib(2 * n)
+    total, mu, sigma = _total_mu_sigma(n)
     worst = 0.0
     k_prev, a = None, 0.0
-    for x in np.linspace(x_lo, x_hi, steps):
+    for x in np.linspace(x_lo, x_hi, steps).tolist():
         k = math.floor(mu + x * sigma)
         if k != k_prev:
             a = binom(n + k - 1, 2 * k - 1) / total if 0 <= k <= n else 0.0
             k_prev = k
-        err = abs(sigma * a - normal_pdf(float(x)))
+        err = abs(sigma * a - normal_pdf(x))
         if err > worst:
             worst = err
     return worst
@@ -279,8 +277,8 @@ def singularity_constants_numeric(h: float) -> SingularityConstants:
     """
     if not 1e-6 <= h <= 1e-2:
         raise ValueError(f"singularity_constants_numeric requires 1e-6 <= h <= 1e-2, got {h}")
-    r0 = dominant_pole(0.0)
-    r1 = (dominant_pole(h) - dominant_pole(-h)) / (2.0 * h)
-    r2 = (dominant_pole(h) - 2.0 * r0 + dominant_pole(-h)) / (h * h)
+    r0, r_plus, r_minus = dominant_pole(0.0), dominant_pole(h), dominant_pole(-h)
+    r1 = (r_plus - r_minus) / (2.0 * h)
+    r2 = (r_plus - 2.0 * r0 + r_minus) / (h * h)
     a = -r1 / r0
     return SingularityConstants(r0=r0, r1=r1, r2=r2, a=a, b2=a * a - r2 / r0)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .exact import _index, fib
-from .moments import deriv1_closed
+from .exact import _index
+from .moments import _uvw
 
 __all__ = [
     "ModeResult",
@@ -70,7 +70,7 @@ def locate_mode(n: int) -> ModeResult:
     n = _index(n)
     m = smallest_mode_index(n)
     is_double = 5 * m * m + 2 * m == n * n
-    u, v = fib(2 * n), deriv1_closed(n)
+    u, v, _ = _uvw(n)
     d = abs(v - m * u)
     if is_double:
         d = min(d, abs(v - (m + 1) * u))

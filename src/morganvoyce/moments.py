@@ -3,11 +3,11 @@
 Write u(n) = Q_n(1), v(n) = Q_n'(1), w(n) = Q_n''(1) for the row polynomial
 Q_n.  The row sum is u(n) = F(2n); v and w have Fibonacci closed forms whose
 numerators are divisible by 5 and 25 respectively.  Those closed forms live in
-one place, the private ``_uvw(n)``, which deriv1_closed, deriv2_closed and
-moment_summary read.  The normalized row is a probability distribution with
-mean mu = v/u and variance sigma^2 = w/u - (v/u)^2 + v/u; both are kept as
-exact rationals end to end, with float conversion left to callers at
-reporting boundaries.
+one place, the private ``_uvw(n)``, which deriv1_closed, deriv2_closed,
+moment_summary and modes.locate_mode read.  The normalized row is a
+probability distribution with mean mu = v/u and variance
+sigma^2 = w/u - (v/u)^2 + v/u; both are kept as exact rationals end to end,
+with float conversion left to callers at reporting boundaries.
 """
 
 from __future__ import annotations
@@ -107,6 +107,5 @@ def kepler_gap(n: int) -> Tuple[Fraction, Fraction]:
     Both converge (Kepler: consecutive Fibonacci ratios tend to the golden
     ratio) to 1/sqrt(5) ~ 0.4472136 and 2/(5 sqrt(5)) ~ 0.1788854.
     """
-    n = _index(n)
     s = moment_summary(n)
-    return (s.mu / n, s.sigma2 / n)
+    return (s.mu / s.n, s.sigma2 / s.n)

@@ -70,21 +70,20 @@ def three_term_rows(max_n: int) -> List[List[int]]:
 def hereditary_rows(max_n: int, g: Callable[[int], Fraction | int]) -> List[List[Fraction | int]]:
     """Rows 0..max_n of p[n] = x * sum(g(k) * p[n-k], k = 1..n) with p[0] = 1.
 
-    g is evaluated on 1..max_n once per (n, k) pair.  A value of type int is
-    used as it is; any other value is coerced to Fraction, so int weights give
-    int rows and every other weight gives exact Fraction rows.  Row n has
+    g is evaluated once for each k = 1..max_n.  A value of type int is used
+    as it is; any other value is coerced to Fraction, so int weights give int
+    rows and every other weight gives exact Fraction rows.  Row n has
     length n + 1 with a leading exact zero (the int 0, as row 0 is [1]).
     """
     max_n = _index(max_n)
     if max_n < 0:
         raise ValueError(f"hereditary_rows requires max_n >= 0, got {max_n}")
+    weights = [w if type(w) is int else Fraction(w) for w in map(g, range(1, max_n + 1))]
     rows: List[List[Fraction | int]] = [[1]]
     for n in range(1, max_n + 1):
         acc = [0] * n
-        for k in range(1, n + 1):
-            gk = g(k)
-            gk = gk if type(gk) is int else Fraction(gk)
-            for i, c in enumerate(rows[n - k]):
+        for gk, row in zip(weights, reversed(rows)):  # g(k) * p[n-k], k = 1..n
+            for i, c in enumerate(row):
                 acc[i] += gk * c
         rows.append([0] + acc)  # multiply by x: shift up one degree
     return rows

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from morganvoyce import cli, limits, modes
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -147,10 +150,20 @@ def test_clt_builds_each_row_once(capsys, monkeypatch):
         calls.append(n)
         return row_closed_form(n)
 
+    # F(2n) comes from the moment summary, so the limit layer never calls fib
+    fib_calls = []
+    fib = limits.fib
+
+    def counted_fib(n):
+        fib_calls.append(n)
+        return fib(n)
+
     monkeypatch.setattr(limits, "row_closed_form", counted)
+    monkeypatch.setattr(limits, "fib", counted_fib)
     code, _, _ = run(capsys, "clt", "--n", "300")
     assert code == 0
     assert calls == [300]
+    assert fib_calls == []
 
 
 def test_clt_accepts_grid(capsys):
@@ -244,3 +257,22 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["rows"][1]["coeffs"] == ["0", "2", "1"]
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("triangle_max_n_8.json", ["triangle", "--max-n", "8"]),
+        ("triangle_max_n_8.tsv", ["--format", "tsv", "triangle", "--max-n", "8"]),
+        ("moments_max_n_20.json", ["moments", "--max-n", "20"]),
+        ("modes_max_n_100.json", ["modes", "--max-n", "100"]),
+        ("pell_count_6.json", ["pell", "--count", "6"]),
+    ],
+)
+def test_exact_commands_match_golden_output(capsys, name, argv):
+    # the README's exact-only commands; the float-reporting ones (clt,
+    # local-table, singularity) go through libm and may differ in the last
+    # digit across platforms, so their values are tested with tolerances
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.encode() == (GOLDEN / name).read_bytes()

@@ -107,6 +107,17 @@ def test_integer_weights_give_python_int_rows():
         assert all(type(c) is int for row in rows for c in row)
 
 
+
+def test_hereditary_rows_evaluate_each_weight_once():
+    calls = []
+
+    def g(k):
+        calls.append(k)
+        return k
+
+    assert hereditary_rows(30, g) == hereditary_rows(30, lambda k: k)
+    assert calls == list(range(1, 31))
+
 def test_non_int_weights_stay_exact():
     # a non-int weight is coerced to Fraction: 0.5 is exactly 1/2, and a
     # numpy int gives the same values as the Python int
