@@ -229,6 +229,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         if args.output is None:
+            if sys.stdout is None:  # the process started with stdout closed
+                raise OSError("stdout is closed")
             _emit(rows, meta, args.format, sys.stdout)
         else:
             with open(args.output, "w", newline="") as out:

@@ -4,6 +4,8 @@ Arbitrary-precision signed integers are Python ``int``; exact rationals are
 ``fractions.Fraction`` (always stored in lowest terms with a positive
 denominator, so equality is canonical-form equality).  Everything here is a
 pure function of its arguments: no global state, safe to call concurrently.
+The private ``_index`` owns the argument rule of every public entry point
+that takes a row index or a count, so that rule and its messages live here.
 """
 
 from __future__ import annotations
@@ -15,12 +17,15 @@ from fractions import Fraction
 __all__ = ["fib", "binom", "ratio_to_float"]
 
 
-def _index(n: int) -> int:
-    """n as a Python int via ``operator.index`` (numpy ints included); a bool
-    raises TypeError rather than passing as 0 or 1."""
-    if type(n) is bool:  # bool cannot be subclassed
+def _index(value: int, lo: int, fn: str, name: str = "n") -> int:
+    """value as an int via ``operator.index`` (numpy ints included); a bool raises
+    TypeError, and a value below lo raises "<fn> requires <name> >= <lo>, got <value>"."""
+    if type(value) is bool:  # bool cannot be subclassed
         raise TypeError("a row index or count must be an integer, not bool")
-    return operator.index(n)
+    value = operator.index(value)
+    if value < lo:
+        raise ValueError(f"{fn} requires {name} >= {lo}, got {value}")
+    return value
 
 
 def fib(n: int) -> int:
@@ -30,9 +35,7 @@ def fib(n: int) -> int:
     F(2k+1) = F(k)^2 + F(k+1)^2, walking the bits of n from the top.
     O(log n) big-integer multiplications, so n up to 10**6 is practical.
     """
-    n = _index(n)
-    if n < 0:
-        raise ValueError(f"fib requires n >= 0, got {n}")
+    n = _index(n, 0, "fib")
     if n == 0:
         return 0
     a, b = 0, 1  # F(k), F(k+1) for the prefix of bits consumed so far

@@ -136,9 +136,7 @@ def harper_model(n: int) -> HarperModel:
     and verified against the exact normalized row to 1e-9; a larger deviation
     raises.  Rejects n < 2: a one-point distribution has nothing to factor.
     """
-    n = _index(n)
-    if n < 2:
-        raise ValueError(f"harper_model requires n >= 2, got {n}")
+    n = _index(n, 2, "harper_model")
     roots = _harper_roots(n)
     success = 1.0 / (1.0 + roots)
     pmf = np.array([1.0])
@@ -154,9 +152,7 @@ def harper_model(n: int) -> HarperModel:
 
 def third_moment_bound_check(n: int) -> bool:
     """True iff rho_j = r(1+r^2)/(1+r)^4 <= var_j = r/(1+r)^2 for every factor root."""
-    n = _index(n)
-    if n < 2:
-        raise ValueError(f"third_moment_bound_check requires n >= 2, got {n}")
+    n = _index(n, 2, "third_moment_bound_check")
     for r in _harper_roots(n):
         rho = r * (1.0 + r * r) / (1.0 + r) ** 4
         var = r / (1.0 + r) ** 2
@@ -176,9 +172,7 @@ def kolmogorov_distance(n: int) -> CltReport:
     0.7975/sigma_n; a violation raises.  Rejects n < 2, where sigma = 0 and
     the normalization is undefined.
     """
-    n = _index(n)
-    if n < 2:
-        raise ValueError(f"kolmogorov_distance requires n >= 2, got {n}")
+    n = _index(n, 2, "kolmogorov_distance")
     total, mu, sigma = _total_mu_sigma(n)
     cdf = [acc / total for acc in itertools.accumulate(row_closed_form(n))]
     d = 0.0
@@ -205,15 +199,12 @@ def local_limit_error(
     A*(n, k) = A(n, k)/F(2n), taken as 0 outside 0..n.  mu_n and sigma_n are
     the exact-moment values, not their asymptotic approximations.  Only the
     entries the grid lands on are computed, each as C(n+k-1, 2k-1) / F(2n)
-    when k changes along the (nondecreasing) grid.
+    when k changes along the (nondecreasing) grid, whose span must be finite.
     """
-    n = _index(n)
-    if n < 2:
-        raise ValueError(f"local_limit_error requires n >= 2, got {n}")
-    if not x_lo < x_hi:
-        raise ValueError(f"local_limit_error requires x_lo < x_hi, got [{x_lo}, {x_hi}]")
-    if steps < 2:
-        raise ValueError(f"local_limit_error requires steps >= 2, got {steps}")
+    n = _index(n, 2, "local_limit_error")
+    if not (x_lo < x_hi and math.isfinite(x_hi - x_lo)):
+        raise ValueError(f"local_limit_error requires finite x_hi - x_lo > 0, got [{x_lo}, {x_hi}]")
+    steps = _index(steps, 2, "local_limit_error", "steps")
     total, mu, sigma = _total_mu_sigma(n)
     worst = 0.0
     k_prev, a = None, 0.0
@@ -235,9 +226,7 @@ def local_limit_row(n: int) -> LocalLimitRow:
     isqrt(5 n^2) // 5, and the binomial and F(2n) stay exact until the final
     scaled division.  At n = 2, b = 0 makes the binomial C(1, -1) = 0.
     """
-    n = _index(n)
-    if n < 2:
-        raise ValueError(f"local_limit_row requires n >= 2, got {n}")
+    n = _index(n, 2, "local_limit_row")
     b = math.isqrt(5 * n * n) // 5  # floor(n / sqrt(5)), no floats
     ratio = binom(n + b - 1, 2 * b - 1) / fib(2 * n)
     scaled = abs(2.0 * math.sqrt(math.pi) * math.sqrt(n) * ratio / 5.0**0.75 - 1.0) * math.sqrt(n)

@@ -56,9 +56,7 @@ def smallest_mode_index(n: int) -> int:
     Equivalent to the window lower endpoint (sqrt(5n^2+1) - 1)/5 rounded up:
     5m^2 + 2m >= n^2 iff (5m+1)^2 >= 5n^2 + 1.
     """
-    n = _index(n)
-    if n < 1:
-        raise ValueError(f"smallest_mode_index requires n >= 1, got {n}")
+    n = _index(n, 1, "smallest_mode_index")
     target = 5 * n * n + 1
     s = math.isqrt(target)
     c = s if s * s == target else s + 1  # ceil(sqrt(5n^2+1))
@@ -67,7 +65,7 @@ def smallest_mode_index(n: int) -> int:
 
 def locate_mode(n: int) -> ModeResult:
     """Smallest mode of row n, double-mode flag, and exact gap |v - m u| / u to the mean v/u."""
-    n = _index(n)
+    n = _index(n, 1, "locate_mode")
     m = smallest_mode_index(n)
     is_double = 5 * m * m + 2 * m == n * n
     u, v, _ = _uvw(n)
@@ -84,9 +82,7 @@ def double_mode_sequence(count: int) -> List[PellSolution]:
     Every solution is verified against both defining equations before being
     returned; a failure raises (it cannot happen unless the matrix is wrong).
     """
-    count = _index(count)
-    if count < 1:
-        raise ValueError(f"double_mode_sequence requires count >= 1, got {count}")
+    count = _index(count, 1, "double_mode_sequence", "count")
     out: List[PellSolution] = []
     j, n = 1, 0
     for k in range(1, count + 1):
@@ -107,9 +103,7 @@ def pell_all_solutions(count: int) -> List[Tuple[int, int]]:
     the even-index iterates have j = 1 mod 5 (the ones giving double modes);
     that alternation is checked for every solution produced.
     """
-    count = _index(count)
-    if count < 1:
-        raise ValueError(f"pell_all_solutions requires count >= 1, got {count}")
+    count = _index(count, 1, "pell_all_solutions", "count")
     out: List[Tuple[int, int]] = []
     j, n = 1, 0
     for i in range(count):

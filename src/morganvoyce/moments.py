@@ -43,9 +43,7 @@ class MomentSummary:
 
 def row_sum(n: int) -> int:
     """Sum of row n, checked against F(2n) before returning."""
-    n = _index(n)
-    if n < 1:
-        raise ValueError(f"row_sum requires n >= 1, got {n}")
+    n = _index(n, 1, "row_sum")
     total = sum(row_closed_form(n))
     if total != fib(2 * n):
         raise ArithmeticError(f"row sum {total} != F({2 * n}) at n = {n}")
@@ -68,17 +66,13 @@ def _uvw(n: int) -> Tuple[int, int, int]:
 
 def deriv1_closed(n: int) -> int:
     """v(n) = (2n F(2n+1) + 2 F(2n) - n F(2n)) / 5, exact."""
-    n = _index(n)
-    if n < 0:
-        raise ValueError(f"deriv1_closed requires n >= 0, got {n}")
+    n = _index(n, 0, "deriv1_closed")
     return _uvw(n)[1]
 
 
 def deriv2_closed(n: int) -> int:
     """w(n) = ((5n^2 - n - 8) F(2n) + 2n F(2n+1)) / 25, exact."""
-    n = _index(n)
-    if n < 0:
-        raise ValueError(f"deriv2_closed requires n >= 0, got {n}")
+    n = _index(n, 0, "deriv2_closed")
     return _uvw(n)[2]
 
 
@@ -92,9 +86,7 @@ def moment_summary(n: int) -> MomentSummary:
     n = 1 is allowed (mu = 1, sigma2 = 0) although the limit-checking module
     rejects it: a zero variance cannot be normalized.
     """
-    n = _index(n)
-    if n < 1:
-        raise ValueError(f"moment_summary requires n >= 1, got {n}")
+    n = _index(n, 1, "moment_summary")
     u, v, w = _uvw(n)
     mu = Fraction(v, u)
     sigma2 = Fraction(w * u - v * v + v * u, u * u)
@@ -107,5 +99,5 @@ def kepler_gap(n: int) -> Tuple[Fraction, Fraction]:
     Both converge (Kepler: consecutive Fibonacci ratios tend to the golden
     ratio) to 1/sqrt(5) ~ 0.4472136 and 2/(5 sqrt(5)) ~ 0.1788854.
     """
-    s = moment_summary(n)
+    s = moment_summary(_index(n, 1, "kepler_gap"))
     return (s.mu / s.n, s.sigma2 / s.n)

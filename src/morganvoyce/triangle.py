@@ -39,17 +39,13 @@ def row_closed_form(n: int) -> List[int]:
     The k = 0 entry is C(n-1, -1) = 0, carried explicitly so CDF code can
     index rows uniformly from 0.
     """
-    n = _index(n)
-    if n < 1:
-        raise ValueError(f"row_closed_form requires n >= 1, got {n}")
+    n = _index(n, 1, "row_closed_form")
     return [binom(n + k - 1, 2 * k - 1) for k in range(n + 1)]
 
 
 def three_term_rows(max_n: int) -> List[List[int]]:
     """Rows 0..max_n via Q[n+2] = (2+x) Q[n+1] - Q[n], Q1 = x, Q2 = x^2 + 2x."""
-    max_n = _index(max_n)
-    if max_n < 0:
-        raise ValueError(f"three_term_rows requires max_n >= 0, got {max_n}")
+    max_n = _index(max_n, 0, "three_term_rows", "max_n")
     rows = [[1]]
     if max_n >= 1:
         rows.append([0, 1])
@@ -75,9 +71,7 @@ def hereditary_rows(max_n: int, g: Callable[[int], Fraction | int]) -> List[List
     rows and every other weight gives exact Fraction rows.  Row n has
     length n + 1 with a leading exact zero (the int 0, as row 0 is [1]).
     """
-    max_n = _index(max_n)
-    if max_n < 0:
-        raise ValueError(f"hereditary_rows requires max_n >= 0, got {max_n}")
+    max_n = _index(max_n, 0, "hereditary_rows", "max_n")
     weights = [w if type(w) is int else Fraction(w) for w in map(g, range(1, max_n + 1))]
     rows: List[List[Fraction | int]] = [[1]]
     for n in range(1, max_n + 1):
@@ -96,7 +90,5 @@ def reciprocal_row(n: int) -> List[int]:
     no extra index shift (the k = n entry is C(n-1, n) = 0, matching the
     absent constant term of the original row).
     """
-    n = _index(n)
-    if n < 1:
-        raise ValueError(f"reciprocal_row requires n >= 1, got {n}")
+    n = _index(n, 1, "reciprocal_row")
     return [binom(2 * n - k - 1, k) for k in range(n + 1)]

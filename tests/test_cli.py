@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -222,6 +223,14 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("grid", ["-inf:3:10", "-3:inf:10", "-1e308:1e308:10"])
+def test_clt_non_finite_grid_exits_2_with_one_line(capsys, grid):
+    code, out, err = run(capsys, "clt", "--n", "50", f"--grid={grid}")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "finite x_hi - x_lo" in err
+
+
 def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "--format", "csv", "moments", "--max-n", "12")
     _, second, _ = run(capsys, "--format", "csv", "moments", "--max-n", "12")
@@ -239,6 +248,15 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "--output", str(target), "triangle", "--max-n", "2")
     assert code == 2
     assert out == ""
+    assert len(err.splitlines()) == 1 and "cannot write output" in err
+
+
+def test_closed_stdout_exits_2(capsys, monkeypatch):
+    # a process started with stdout closed (`>&-`) has sys.stdout None
+    monkeypatch.setattr(sys, "stdout", None)
+    code = cli.main(["triangle", "--max-n", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
     assert len(err.splitlines()) == 1 and "cannot write output" in err
 
 

@@ -181,6 +181,10 @@ def test_local_limit_error_validates_grid():
         local_limit_error(10, -3.0, 3.0, steps=1)
     with pytest.raises(ValueError):
         local_limit_error(1)
+    # an infinite end, and finite ends whose span overflows to inf
+    for grid in [(-math.inf, 3.0, 10), (-3.0, math.inf, 10), (-1e308, 1e308, 10)]:
+        with pytest.raises(ValueError, match=r"^local_limit_error requires finite x_hi - x_lo > 0, got "):
+            local_limit_error(50, *grid)
 
 
 def test_local_limit_row_values():

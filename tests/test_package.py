@@ -32,32 +32,33 @@ def test_package_exports_the_public_names():
         assert hasattr(morganvoyce, name)
 
 
-# every public function that takes a row index or a count as its first argument
+# every public function that takes a row index or a count as its first
+# argument: (function, lower bound, argument name)
 INDEX_ENTRY_POINTS = [
-    morganvoyce.fib,
-    morganvoyce.row_closed_form,
-    morganvoyce.three_term_rows,
-    functools.partial(morganvoyce.hereditary_rows, g=lambda k: k),
-    morganvoyce.reciprocal_row,
-    morganvoyce.row_sum,
-    morganvoyce.deriv1_closed,
-    morganvoyce.deriv2_closed,
-    morganvoyce.moment_summary,
-    morganvoyce.kepler_gap,
-    morganvoyce.smallest_mode_index,
-    morganvoyce.locate_mode,
-    morganvoyce.double_mode_sequence,
-    morganvoyce.pell_all_solutions,
-    morganvoyce.harper_model,
-    morganvoyce.third_moment_bound_check,
-    morganvoyce.kolmogorov_distance,
-    morganvoyce.local_limit_error,
-    morganvoyce.local_limit_row,
+    (morganvoyce.fib, 0, "n"),
+    (morganvoyce.row_closed_form, 1, "n"),
+    (morganvoyce.three_term_rows, 0, "max_n"),
+    (functools.partial(morganvoyce.hereditary_rows, g=lambda k: k), 0, "max_n"),
+    (morganvoyce.reciprocal_row, 1, "n"),
+    (morganvoyce.row_sum, 1, "n"),
+    (morganvoyce.deriv1_closed, 0, "n"),
+    (morganvoyce.deriv2_closed, 0, "n"),
+    (morganvoyce.moment_summary, 1, "n"),
+    (morganvoyce.kepler_gap, 1, "n"),
+    (morganvoyce.smallest_mode_index, 1, "n"),
+    (morganvoyce.locate_mode, 1, "n"),
+    (morganvoyce.double_mode_sequence, 1, "count"),
+    (morganvoyce.pell_all_solutions, 1, "count"),
+    (morganvoyce.harper_model, 2, "n"),
+    (morganvoyce.third_moment_bound_check, 2, "n"),
+    (morganvoyce.kolmogorov_distance, 2, "n"),
+    (morganvoyce.local_limit_error, 2, "n"),
+    (morganvoyce.local_limit_row, 2, "n"),
 ]
 
 
 def test_index_entry_points_reject_bool_and_normalize_numpy_ints():
-    for fn in INDEX_ENTRY_POINTS:
+    for fn, _, _ in INDEX_ENTRY_POINTS:
         with pytest.raises(TypeError):
             fn(True)
         got, want = fn(np.int64(10)), fn(10)
@@ -67,3 +68,19 @@ def test_index_entry_points_reject_bool_and_normalize_numpy_ints():
             assert got == want, fn
         if hasattr(want, "n"):
             assert type(got.n) is int, fn
+
+
+def test_index_entry_points_name_themselves_below_their_bound():
+    for fn, lo, arg in INDEX_ENTRY_POINTS:
+        name = getattr(fn, "func", fn).__name__  # unwrap the partial
+        with pytest.raises(ValueError) as exc:
+            fn(lo - 1)
+        assert str(exc.value) == f"{name} requires {arg} >= {lo}, got {lo - 1}"
+
+
+def test_local_limit_error_steps_follow_the_index_rule():
+    with pytest.raises(TypeError):
+        morganvoyce.local_limit_error(10, -3.0, 3.0, True)
+    assert morganvoyce.local_limit_error(10, -3.0, 3.0, np.int64(5)) == morganvoyce.local_limit_error(
+        10, -3.0, 3.0, 5
+    )
