@@ -206,6 +206,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _diagnose(command: str, message: str) -> None:
+    """Write one diagnostic line to stderr, or drop it when stderr is closed.
+
+    A closed stderr must not change the exit code: when ``sys.stderr`` is
+    None or writing to it raises OSError, the line is dropped.
+    """
+    if sys.stderr is None:
+        return
+    try:
+        print(f"morganvoyce {command}: {message}", file=sys.stderr)
+    except OSError:
+        pass
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -221,10 +235,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         rows = args.run(args)
     except ValueError as exc:  # bad argument values: usage error
-        print(f"morganvoyce {args.command}: {exc}", file=sys.stderr)
+        _diagnose(args.command, str(exc))
         return 2
     except ArithmeticError as exc:  # a violated internal invariant
-        print(f"morganvoyce {args.command}: internal check failed: {exc}", file=sys.stderr)
+        _diagnose(args.command, f"internal check failed: {exc}")
         return 1
 
     try:
@@ -236,14 +250,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             with open(args.output, "w", newline="") as out:
                 _emit(rows, meta, args.format, out)
     except OSError as exc:  # the output path cannot be opened or written
-        print(f"morganvoyce {args.command}: cannot write output: {exc}", file=sys.stderr)
+        _diagnose(args.command, f"cannot write output: {exc}")
         return 2
     except ValueError:  # str() of an integer beyond the interpreter's digit limit
-        print(
-            f"morganvoyce {args.command}: an output integer exceeds Python's "
-            f"{sys.get_int_max_str_digits()}-digit int-to-str limit; "
-            "use a smaller --count or --max-n",
-            file=sys.stderr,
+        _diagnose(
+            args.command,
+            f"an output integer exceeds Python's {sys.get_int_max_str_digits()}-digit "
+            "int-to-str limit; use a smaller --count or --max-n",
         )
         return 2
     return 0

@@ -6,7 +6,9 @@ A(n, n) = 1; the entries rise to a peak and fall again (log-concave, hence
 unimodal).  Three independent generation routes are provided, one function
 each:
 
-* ``row_closed_form``  -- row n from the binomial closed form, entry by entry;
+* ``row_closed_form``  -- row n from the closed form, walked once along the
+  exact ratio of consecutive entries
+  A(n, k+1) / A(n, k) = (n+k)(n-k) / (2k(2k+1)), in O(n) steps;
 * ``three_term_rows``  -- rows 0..max_n from the recurrence
   Q[n+2] = (2+x) Q[n+1] - Q[n];
 * ``hereditary_rows``  -- rows 0..max_n of the weighted-history recurrence
@@ -14,6 +16,10 @@ each:
   weight function g.  With g(k) = k this reproduces the integer triangle.
   The rows compute in g's own type: int weights give int rows, and any other
   weight is coerced to an exact Fraction, giving Fraction rows.
+
+``reciprocal_row`` is ``row_closed_form`` reversed, so there is one kernel for
+closed-form rows.  The module calls no binomial routine: per-entry
+``math.comb`` is kept as the independent oracle in the tests.
 
 All functions are pure.
 """
@@ -23,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, List
 
-from .exact import _index, binom
+from .exact import _index
 
 __all__ = [
     "row_closed_form",
@@ -34,13 +40,21 @@ __all__ = [
 
 
 def row_closed_form(n: int) -> List[int]:
-    """Row n of the triangle from the closed form, coeffs[k] = C(n+k-1, 2k-1).
+    """Row n of the triangle, coeffs[k] = A(n, k) = C(n+k-1, 2k-1), k = 0..n.
 
     The k = 0 entry is C(n-1, -1) = 0, carried explicitly so CDF code can
-    index rows uniformly from 0.
+    index rows uniformly from 0.  From A(n, 1) = n each next entry is
+    A(n, k+1) = A(n, k) * (n+k)(n-k) // (2k(2k+1)); the product equals
+    A(n, k+1) * 2k(2k+1), so every floor division is exact and the row costs
+    n - 1 big-by-small multiplications and divisions.
     """
     n = _index(n, 1, "row_closed_form")
-    return [binom(n + k - 1, 2 * k - 1) for k in range(n + 1)]
+    row = [0, n]
+    a = n
+    for k in range(1, n):
+        a = a * ((n + k) * (n - k)) // (2 * k * (2 * k + 1))
+        row.append(a)
+    return row
 
 
 def three_term_rows(max_n: int) -> List[List[int]]:
@@ -86,9 +100,9 @@ def hereditary_rows(max_n: int, g: Callable[[int], Fraction | int]) -> List[List
 def reciprocal_row(n: int) -> List[int]:
     """Coefficients C(2n-k-1, k), k = 0..n, of the degree-reversed row.
 
-    Equals row_closed_form(n) read backwards: entry k here is A(n, n-k), with
+    This is row_closed_form(n) read backwards: entry k here is A(n, n-k), with
     no extra index shift (the k = n entry is C(n-1, n) = 0, matching the
     absent constant term of the original row).
     """
     n = _index(n, 1, "reciprocal_row")
-    return [binom(2 * n - k - 1, k) for k in range(n + 1)]
+    return row_closed_form(n)[::-1]

@@ -136,17 +136,17 @@ def test_01_golden_triangle_by_all_three_routes():
             assert all(c.denominator == 1 for c in hh[n])
 
 
-def test_02_row_sums_are_even_fibonacci_to_500():
-    with gate("02 row sums equal F(2n) for n <= 500", budget=5.0):
-        for n in range(1, 501):
+def test_02_row_sums_are_even_fibonacci_to_2000():
+    with gate("02 row sums equal F(2n) for n <= 2000", budget=5.0):
+        for n in range(1, 2001):
             assert sum(row_closed_form(n)) == fib(2 * n)
 
 
-def test_03_closed_form_moments_match_weighted_sums_to_500():
-    with gate("03 closed-form mu, sigma^2 match weighted sums for n <= 500", budget=10.0):
+def test_03_closed_form_moments_match_weighted_sums_to_2000():
+    with gate("03 closed-form mu, sigma^2 match weighted sums for n <= 2000", budget=10.0):
         assert [deriv1_closed(n) for n in (1, 2, 3, 4)] == [1, 4, 14, 46]
         assert [deriv2_closed(n) for n in (1, 2, 3, 4, 5, 6)] == [0, 2, 14, 68, 282, 1068]
-        for n in range(1, 501):
+        for n in range(1, 2001):
             row = row_closed_form(n)
             u = sum(row)
             v = sum(k * a for k, a in enumerate(row))
@@ -188,8 +188,8 @@ def test_06_growth_constants():
 
 
 def test_07_kolmogorov_below_berry_esseen_bound():
-    ns = list(range(2, 101)) + [200, 500, 1000]
-    with gate("07 D_n <= 0.7975/sigma_n for n in {2..100, 200, 500, 1000}", budget=60.0):
+    ns = list(range(2, 101)) + [200, 500, 1000, 2000, 5000, 10000]
+    with gate("07 D_n <= 0.7975/sigma_n for n in {2..100, 200, 500, 1000, 2000, 5000, 10^4}", budget=60.0):
         for n in ns:
             r = kolmogorov_distance(n)
             assert r.kolmogorov <= r.be_bound, n

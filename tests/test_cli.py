@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import sys
 from fractions import Fraction
@@ -114,11 +115,12 @@ def test_pell_golden_pairs(capsys):
     ]
 
 
-def test_internal_check_failure_exits_1(capsys, monkeypatch):
-    def broken(count):
-        raise ArithmeticError("double-mode iterate 1 violates the Pell equation")
+def _broken_double_mode_sequence(count):
+    raise ArithmeticError("double-mode iterate 1 violates the Pell equation")
 
-    monkeypatch.setattr(modes, "double_mode_sequence", broken)
+
+def test_internal_check_failure_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(modes, "double_mode_sequence", _broken_double_mode_sequence)
     code, out, err = run(capsys, "pell", "--count", "3")
     assert code == 1
     assert out == ""
@@ -258,6 +260,35 @@ def test_closed_stdout_exits_2(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and "cannot write output" in err
+
+
+class _ClosedStream:
+    """A text stream whose descriptor is closed: every write raises EBADF."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, "Bad file descriptor")
+
+
+# `2>&-` leaves either no stderr object (None) or one whose writes raise EBADF;
+# either way the diagnostic is dropped and the exit code is unchanged
+@pytest.mark.parametrize("stderr", [None, _ClosedStream()], ids=["none", "ebadf"])
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(["clt", "--n", "1"], 2), (["pell", "--count", "3"], 1)],
+    ids=["usage", "internal-check"],
+)
+def test_closed_stderr_keeps_exit_code(capsys, monkeypatch, stderr, argv, expected):
+    monkeypatch.setattr(modes, "double_mode_sequence", _broken_double_mode_sequence)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert cli.main(argv) == expected
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("stderr", [None, _ClosedStream()], ids=["none", "ebadf"])
+def test_closed_stdout_and_stderr_exit_2(capsys, monkeypatch, stderr):
+    monkeypatch.setattr(sys, "stdout", None)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert cli.main(["triangle", "--max-n", "2"]) == 2
 
 
 def test_integer_beyond_digit_limit_exits_2(capsys):

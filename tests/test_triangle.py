@@ -10,10 +10,12 @@ import pytest
 
 from morganvoyce import (
     binom,
+    fib,
     hereditary_rows,
     reciprocal_row,
     row_closed_form,
     three_term_rows,
+    triangle,
 )
 
 # Rows 1..8 of OEIS A078812, including the explicit k = 0 zero.
@@ -139,8 +141,46 @@ def test_reciprocal_row_values():
 
 
 def test_reciprocal_row_is_reversed_row_to_100(rows500):
+    # C(2n-k-1, k) = A(n, n-k), checked against math.comb, not the kernel
     for n in range(1, 101):
-        assert reciprocal_row(n) == rows500[n][::-1]
+        reverse = reciprocal_row(n)
+        assert reverse == rows500[n][::-1]
+        assert reverse == [math.comb(2 * n - k - 1, k) for k in range(n + 1)]
+
+
+def comb_row(n):
+    """The independent oracle: [0] + [C(n+k-1, 2k-1) for k = 1..n], one math.comb per entry."""
+    return [0] + [math.comb(n + k - 1, 2 * k - 1) for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("ns", [range(1, 301), [1000], [2000], [4000]], ids=["1-300", "1000", "2000", "4000"])
+def test_closed_form_matches_per_entry_comb(ns):
+    for n in ns:
+        assert row_closed_form(n) == comb_row(n), n
+
+
+def test_row_kernel_uses_no_binomial(monkeypatch):
+    def boom(*args):
+        raise AssertionError("the row kernel must not compute a binomial")
+
+    monkeypatch.setattr(triangle, "binom", boom, raising=False)
+    monkeypatch.setattr(math, "comb", boom)
+    row = row_closed_form(500)
+    assert reciprocal_row(500) == row[::-1]
+    assert (row[1], row[-1], sum(row)) == (500, 1, fib(1000))
+
+
+def test_reciprocal_row_calls_the_kernel_once(monkeypatch):
+    calls = []
+    kernel = triangle.row_closed_form
+
+    def counted(n):
+        calls.append(n)
+        return kernel(n)
+
+    monkeypatch.setattr(triangle, "row_closed_form", counted)
+    assert reciprocal_row(np.int64(40)) == kernel(40)[::-1]
+    assert calls == [40] and type(calls[0]) is int
 
 
 def test_numpy_int_index_gives_exact_python_int_rows():
