@@ -6,7 +6,9 @@ rationals serialize as decimal strings so a JSON round trip is lossless;
 floats use the shortest round-trip decimal.  Exit codes: 0 success, 2 usage
 error (an unwritable --output or an integer beyond the int-to-str digit limit
 included), 1 internal assertion failure.  Identical invocations produce
-byte-identical output.
+byte-identical output.  Nothing is written unless the whole document
+renders, so a failed run leaves stdout empty and an existing --output file
+untouched; the CLI holds one copy of the output text in memory.
 
 Each table's columns are the fields of the result dataclass it reports
 (``MomentSummary``, ``ModeResult``, ``PellSolution``, ``CltReport``,
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -57,38 +60,30 @@ def _grid(text: str) -> tuple:
     return lo, hi, steps
 
 
-def _cell(value) -> str:
-    """Serialize one value for csv/tsv; exact types as decimal strings."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def _json_value(value):
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return str(value)
     if isinstance(value, (list, tuple)):
         return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
     return value
 
 
-def _emit(rows: List[Dict], meta: Dict, fmt: str, out) -> None:
+def _render(rows: List[Dict], meta: Dict, fmt: str) -> str:
+    """The whole document as text; the only place values become text."""
+    buf = io.StringIO()
     if fmt == "json":
-        doc = {
-            "meta": meta,
-            "rows": [{k: _json_value(v) for k, v in row.items()} for row in rows],
-        }
-        json.dump(doc, out, indent=2)
-        out.write("\n")
-        return
-    delim = "," if fmt == "csv" else "\t"
-    writer = csv.writer(out, delimiter=delim, lineterminator="\n")
-    header = list(rows[0].keys()) if rows else []
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(row[k]) for k in header])
+        json.dump(_json_value({"meta": meta, "rows": rows}), buf, indent=2)
+        buf.write("\n")
+    else:  # a table's rows share one key order; csv applies str() to the rest
+        writer = csv.writer(buf, delimiter="," if fmt == "csv" else "\t", lineterminator="\n")
+        writer.writerow(rows[0].keys())
+        writer.writerows(
+            [("true" if v else "false") if type(v) is bool else v for v in row.values()]
+            for row in rows
+        )
+    return buf.getvalue()
 
 
 def _cmd_triangle(args) -> List[Dict]:
@@ -227,7 +222,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "version": __version__,
         "command": args.command,
         "parameters": {
-            k: _json_value(v)
+            k: v
             for k, v in sorted(vars(args).items())
             if k not in ("run", "command", "output") and v is not None
         },
@@ -242,22 +237,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
     try:
-        if args.output is None:
-            if sys.stdout is None:  # the process started with stdout closed
-                raise OSError("stdout is closed")
-            _emit(rows, meta, args.format, sys.stdout)
-        else:
-            with open(args.output, "w", newline="") as out:
-                _emit(rows, meta, args.format, out)
-    except OSError as exc:  # the output path cannot be opened or written
-        _diagnose(args.command, f"cannot write output: {exc}")
-        return 2
+        text = _render(rows, meta, args.format)
     except ValueError:  # str() of an integer beyond the interpreter's digit limit
         _diagnose(
             args.command,
             f"an output integer exceeds Python's {sys.get_int_max_str_digits()}-digit "
             "int-to-str limit; use a smaller --count or --max-n",
         )
+        return 2
+
+    try:
+        if args.output is None:
+            if sys.stdout is None:  # the process started with stdout closed
+                raise OSError("stdout is closed")
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w", newline="") as out:
+                out.write(text)
+    except OSError as exc:  # the output path cannot be opened or written
+        _diagnose(args.command, f"cannot write output: {exc}")
         return 2
     return 0
 

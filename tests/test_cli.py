@@ -291,12 +291,33 @@ def test_closed_stdout_and_stderr_exit_2(capsys, monkeypatch, stderr):
     assert cli.main(["triangle", "--max-n", "2"]) == 2
 
 
-def test_integer_beyond_digit_limit_exits_2(capsys):
-    # the last Pell rows have more digits than str(int) accepts by default
-    code, _, err = run(capsys, "pell", "--count", "1800")
+@pytest.fixture
+def low_digit_limit():
+    # the smallest allowed limit: `pell --count 300` then passes it in its
+    # last rows, as `pell --count 1800` does under the default 4300 digits
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(default)
+
+
+def test_integer_beyond_digit_limit_exits_2(capsys, low_digit_limit):
+    # nothing is written, not even the rows rendered before the long one
+    for fmt in ("json", "csv", "tsv"):
+        code, out, err = run(capsys, "--format", fmt, "pell", "--count", "300")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "640-digit" in err and "--count" in err
+
+
+def test_failed_run_leaves_output_file_alone(tmp_path, capsys, low_digit_limit):
+    target = tmp_path / "keep.json"
+    target.write_bytes(b"precious\n")
+    code, out, _ = run(capsys, "--output", str(target), "pell", "--count", "300")
     assert code == 2
-    assert len(err.splitlines()) == 1
-    assert "digit" in err and "--count" in err
+    assert out == ""
+    assert target.read_bytes() == b"precious\n"
 
 
 def test_output_file(tmp_path, capsys):
