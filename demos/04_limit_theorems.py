@@ -25,9 +25,9 @@ print("=" * 72)
 print("Harper factorization: row 4 as a product of Bernoulli generating factors")
 print("=" * 72)
 m = harper_model(4)
-print(f"  factor roots r_j:      {[round(float(r), 6) for r in m.roots]}")
-print(f"  success probabilities: {[round(float(p), 6) for p in m.success_probs]}")
-print(f"  reconstructed pmf:     {[round(float(p), 6) for p in m.pmf]}")
+print(f"  factor roots r_j:      {[round(r, 6) for r in m.roots]}")
+print(f"  success probabilities: {[round(p, 6) for p in m.success_probs]}")
+print(f"  reconstructed pmf:     {[round(p, 6) for p in m.pmf]}")
 print(f"  exact pmf:             {[round(a / 21, 6) for a in (0, 4, 10, 6, 1)]}")
 
 print()

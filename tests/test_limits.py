@@ -61,6 +61,13 @@ def test_harper_roots_small_cases():
     np.testing.assert_allclose(m2.pmf, [0.0, 2 / 3, 1 / 3], atol=1e-12)
     m3 = harper_model(3)
     assert np.allclose(sorted(m3.roots), [0.0, 1.0, 3.0])  # x^2+4x+3 = (x+1)(x+3)
+    # a result is an immutable value: equal by fields, tuples of floats
+    m4 = harper_model(4)
+    assert m4 == harper_model(4)
+    for field in (m4.roots, m4.success_probs, m4.pmf):
+        assert type(field) is tuple and all(type(v) is float for v in field)
+    with pytest.raises(TypeError):
+        m4.pmf[0] = 1.0
 
 
 def test_harper_reconstruction_row4():
@@ -158,9 +165,14 @@ def test_local_limit_error_shrinks_with_n():
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 77, 500])
-@pytest.mark.parametrize("grid", [(), (-4.0, 4.0, 1201), (-2.0, 2.0, 101), (8.0, 8.0 + 1e-9, 2)])
+@pytest.mark.parametrize(
+    "grid",
+    [(), (-4.0, 4.0, 1201), (-2.0, 2.0, 101), (8.0, 8.0 + 1e-9, 2), (-3.37, 2.11, 999), (0.0, 1e-322, 101)],
+)
 def test_local_limit_error_matches_full_row_reference(n, grid):
-    # reference: every grid point reads the whole closed-form row
+    # reference: every grid point reads the whole closed-form row, on
+    # np.linspace's grid.  At (0, 1e-322) the step underflows to 0, so the
+    # interior points differ (numpy: 5e-323, i * step: 0.0); the sup does not.
     row = row_closed_form(n)
     total = sum(row)
     s = moment_summary(n)
