@@ -9,7 +9,7 @@ ratio) to 1/sqrt(5) and 2/(5 sqrt(5)).
 
 import math
 
-from morganvoyce import fib, kepler_gap, moment_summary, ratio_to_float, row_sum
+from morganvoyce import fib, kepler_gap, moment_summary, ratio_to_float, row_closed_form
 
 A = 1.0 / math.sqrt(5.0)
 B2 = 2.0 / (5.0 * math.sqrt(5.0))
@@ -18,7 +18,7 @@ print("=" * 72)
 print("Row sums are even-indexed Fibonacci numbers")
 print("=" * 72)
 for n in range(1, 11):
-    print(f"  n={n:2d}: sum = {row_sum(n):6d} = F({2 * n})")
+    print(f"  n={n:2d}: sum = {sum(row_closed_form(n)):6d} = F({2 * n})")
 
 print()
 print("Exact mean and variance (closed forms in F(2n) and F(2n+1)):")

@@ -5,10 +5,10 @@ json (object with "meta" and "rows"), csv, tsv.  Big integers and exact
 rationals serialize as decimal strings so a JSON round trip is lossless;
 floats use the shortest round-trip decimal.  Exit codes: 0 success, 2 usage
 error (an unwritable --output or an integer beyond the int-to-str digit limit
-included), 1 internal assertion failure.  Identical invocations produce
-byte-identical output.  Nothing is written unless the whole document
-renders, so a failed run leaves stdout empty and an existing --output file
-untouched; the CLI holds one copy of the output text in memory.
+included), 1 internal check failure (clt's Berry-Esseen bound).  Identical
+invocations produce byte-identical output.  Nothing is written unless the
+whole document renders, so a failed run leaves stdout empty and an existing
+--output file untouched; the CLI holds one copy of the output text in memory.
 
 Each table's columns are the fields of the result dataclass it reports
 (``MomentSummary``, ``ModeResult``, ``PellSolution``, ``CltReport``,

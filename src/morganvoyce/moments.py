@@ -17,11 +17,9 @@ from fractions import Fraction
 from typing import Tuple
 
 from .exact import _index, fib
-from .triangle import row_closed_form
 
 __all__ = [
     "MomentSummary",
-    "row_sum",
     "deriv1_closed",
     "deriv2_closed",
     "moment_summary",
@@ -41,26 +39,13 @@ class MomentSummary:
     sigma2: Fraction
 
 
-def row_sum(n: int) -> int:
-    """Sum of row n, checked against F(2n) before returning."""
-    n = _index(n, 1, "row_sum")
-    total = sum(row_closed_form(n))
-    if total != fib(2 * n):
-        raise ArithmeticError(f"row sum {total} != F({2 * n}) at n = {n}")
-    return total
-
-
 def _uvw(n: int) -> Tuple[int, int, int]:
-    """(u, v, w) of row n from one F(2n) and one F(2n+1); a remainder in the
-    divisions by 5 and 25 raises."""
+    """(u, v, w) of row n from one F(2n) and one F(2n+1).  The divisions are
+    exact: the numerators mod 5 and 25 repeat in n with periods 10 and 50."""
     u = fib(2 * n)
     f1 = fib(2 * n + 1)
-    v, r = divmod(2 * n * f1 + (2 - n) * u, 5)
-    if r != 0:
-        raise ArithmeticError(f"v({n}) closed form not divisible by 5")
-    w, r = divmod((5 * n * n - n - 8) * u + 2 * n * f1, 25)
-    if r != 0:
-        raise ArithmeticError(f"w({n}) closed form not divisible by 25")
+    v = (2 * n * f1 + (2 - n) * u) // 5
+    w = ((5 * n * n - n - 8) * u + 2 * n * f1) // 25
     return u, v, w
 
 

@@ -29,7 +29,6 @@ from morganvoyce import (
     singularity_constants,
     singularity_constants_numeric,
     smallest_mode_index,
-    third_moment_bound_check,
     three_term_rows,
 )
 
@@ -206,7 +205,7 @@ def test_08_local_limit_reference_table():
 def test_09_harper_reconstruction_and_third_moments():
     with gate(
         "09 Bernoulli-factor reconstruction <= 1e-9 (n <= 50 and n in {100, 500, 1000, 2000, "
-        "5000}), third moments (n <= 200)"
+        "5000}), third moments exact on every root (n <= 200)"
     ):
         for n in [*range(2, 51), 100, 500, 1000, 2000, 5000]:
             model = harper_model(n)
@@ -216,7 +215,11 @@ def test_09_harper_reconstruction_and_third_moments():
             exact = [a / total for a in row_closed_form(n)]
             assert max(abs(p - e) for p, e in zip(model.pmf, exact)) < 1e-9
         for n in range(2, 201):
-            assert third_moment_bound_check(n)
+            # a factor with success probability 1/(1+r) has third absolute
+            # central moment rho <= its variance exactly when r >= 0
+            for r in map(Fraction, harper_model(n).roots):
+                assert r >= 0
+                assert r * (1 + r * r) / (1 + r) ** 4 <= r / (1 + r) ** 2
 
 
 def test_10_generic_weight_specializations(set_partition_counts):

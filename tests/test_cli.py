@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from morganvoyce import cli, limits, modes
+from morganvoyce import cli, limits
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -115,13 +115,13 @@ def test_pell_golden_pairs(capsys):
     ]
 
 
-def _broken_double_mode_sequence(count):
-    raise ArithmeticError("double-mode iterate 1 violates the Pell equation")
+def _broken_kolmogorov_distance(n):
+    raise ArithmeticError(f"Kolmogorov distance 1.0 exceeds Berry-Esseen bound 0.5 at n = {n}")
 
 
 def test_internal_check_failure_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(modes, "double_mode_sequence", _broken_double_mode_sequence)
-    code, out, err = run(capsys, "pell", "--count", "3")
+    monkeypatch.setattr(limits, "kolmogorov_distance", _broken_kolmogorov_distance)
+    code, out, err = run(capsys, "clt", "--n", "3")
     assert code == 1
     assert out == ""
     assert "internal check failed" in err
@@ -174,6 +174,10 @@ def test_clt_accepts_grid(capsys):
     code, out, _ = run(capsys, "clt", "--n", "30", "--grid=-2:2:101")
     assert code == 0
     assert json.loads(out)["rows"][0]["local_sup_error"] > 0
+    # a finite grid on which mu + x sigma overflows reads A* = 0 there
+    code, out, err = run(capsys, "clt", "--n", "50", "--grid=1e307:1.7e308:10")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rows"][0]["local_sup_error"] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -274,11 +278,11 @@ class _ClosedStream:
 @pytest.mark.parametrize("stderr", [None, _ClosedStream()], ids=["none", "ebadf"])
 @pytest.mark.parametrize(
     "argv, expected",
-    [(["clt", "--n", "1"], 2), (["pell", "--count", "3"], 1)],
+    [(["local-table", "--n", "1"], 2), (["clt", "--n", "3"], 1)],
     ids=["usage", "internal-check"],
 )
 def test_closed_stderr_keeps_exit_code(capsys, monkeypatch, stderr, argv, expected):
-    monkeypatch.setattr(modes, "double_mode_sequence", _broken_double_mode_sequence)
+    monkeypatch.setattr(limits, "kolmogorov_distance", _broken_kolmogorov_distance)
     monkeypatch.setattr(sys, "stderr", stderr)
     assert cli.main(argv) == expected
     assert capsys.readouterr().out == ""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -22,7 +23,6 @@ from morganvoyce import (
     row_closed_form,
     singularity_constants,
     singularity_constants_numeric,
-    third_moment_bound_check,
 )
 from morganvoyce.limits import DEFAULT_GRID
 
@@ -104,14 +104,12 @@ def test_harper_rejects_degenerate_row():
 
 
 def test_third_moment_domination_pointwise():
-    # r = 0: both sides vanish; r = 1: 2/16 <= 1/4
-    assert 0.0 * (1 + 0.0) / (1 + 0.0) ** 4 <= 0.0
-    assert 1 * (1 + 1) / (1 + 1) ** 4 == 0.125 <= 0.25
-    assert third_moment_bound_check(50)
-
-
-def test_third_moment_domination_to_200():
-    assert all(third_moment_bound_check(n) for n in range(2, 201))
+    # A factor with success probability 1/(1+r) has var = r/(1+r)^2 and
+    # rho = r(1+r^2)/(1+r)^4, so var - rho = 2r^2/(1+r)^4 >= 0 for r >= 0.
+    # Times (1+r)^4 that is an identity of degree 3 in r: four points prove it.
+    for r in map(Fraction, (0, 1, 2, Fraction(1, 3), 5)):
+        var, rho = r / (1 + r) ** 2, r * (1 + r * r) / (1 + r) ** 4
+        assert var - rho == 2 * r * r / (1 + r) ** 4
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +140,32 @@ def test_kolmogorov_scaled_distance_stays_bounded():
     assert max(vals) / min(vals) < 10.0
 
 
+def test_normal_cdf_error_below_1e_15():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for x in np.linspace(-38.0, 38.0, 1521):
+            assert abs(normal_cdf(float(x)) - mpmath.ncdf(float(x))) <= 1e-15
+
+
+def test_kolmogorov_float_error_within_a_priori_bound():
+    # the bound in kolmogorov_distance's docstring, against a 50-digit D_n
+    mpmath = pytest.importorskip("mpmath")
+    u = 2.0**-53
+    with mpmath.workdps(50):
+        for n in (2, 3, 10, 100, 1000, 3000):
+            s = moment_summary(n)
+            mu = mpmath.mpf(s.mu.numerator) / s.mu.denominator
+            sigma = mpmath.sqrt(mpmath.mpf(s.sigma2.numerator) / s.sigma2.denominator)
+            d, prev = mpmath.mpf(0), mpmath.mpf(0)
+            for k, acc in enumerate(itertools.accumulate(row_closed_form(n))):
+                c = mpmath.mpf(acc) / s.u
+                phi = mpmath.ncdf((k - mu) / sigma)
+                d, prev = max(d, abs(c - phi), abs(prev - phi)), c
+            r = kolmogorov_distance(n)
+            bound = 1e-15 + 3 * u + normal_pdf(0.0) * u * float(s.mu) / r.sigma
+            assert abs(r.kolmogorov - d) <= bound, n
+
+
 def test_kolmogorov_rejects_degenerate_row():
     with pytest.raises(ValueError):
         kolmogorov_distance(1)
@@ -154,6 +178,9 @@ def test_kolmogorov_rejects_degenerate_row():
 def test_local_limit_far_tail_vanishes():
     # at x = 8 the index leaves the row and the density is ~5e-15
     assert local_limit_error(2, 8.0, 8.0 + 1e-9, 2) < 1e-14
+    # finite grids on which mu + x sigma overflows to +-inf read A* = 0
+    assert local_limit_error(50, 1e307, 1.7e308, 10) == 0.0
+    assert local_limit_error(50, -1.7e308, -1e307, 10) == 0.0
 
 
 def test_local_limit_error_shrinks_with_n():

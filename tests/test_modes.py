@@ -82,6 +82,43 @@ def test_double_mode_sequence_invariants_to_8():
         assert 5 * s.m * s.m + 2 * s.m == s.n * s.n
 
 
+PELL_MATRIX = ((9, 20), (4, 9))
+DOUBLE_MODE_MATRIX = ((161, 360), (72, 161))
+
+
+def _matmul(a, b):
+    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(2)) for j in range(2)) for i in range(2))
+
+
+def _iterates(m, count):
+    out, (j, n) = [], (1, 0)
+    for _ in range(count):
+        out.append((j, n))
+        j, n = m[0][0] * j + m[0][1] * n, m[1][0] * j + m[1][1] * n
+    return out
+
+
+def _mod5(m):
+    return tuple(tuple(x % 5 for x in row) for row in m)
+
+
+def test_pell_matrices_keep_the_form_and_the_residue_for_every_iterate():
+    # Both functions iterate these matrices from (1, 0): two steps fix a 2x2
+    # linear map, and three iterates are compared.
+    assert pell_all_solutions(4) == _iterates(PELL_MATRIX, 4)
+    assert [(s.j, s.n) for s in double_mode_sequence(3)] == _iterates(DOUBLE_MODE_MATRIX, 4)[1:]
+    # M^T diag(1, -5) M = diag(1, -5) keeps j^2 - 5n^2 = 1 from (1, 0) on.
+    # Both upper-right entries are 0 mod 5, so j mod 5 follows from j alone.
+    form = ((1, 0), (0, -5))
+    for m in (PELL_MATRIX, DOUBLE_MODE_MATRIX):
+        assert _matmul(tuple(zip(*m)), _matmul(form, m)) == form
+    # j = 1 stays 1: each iterate is j = 5m + 1 with 5m^2 + 2m = n^2
+    assert _mod5(DOUBLE_MODE_MATRIX) == ((1, 0), (2, 1))
+    # j -> 4j: 1 -> 4 -> 1, so exactly the even-index Pell iterates are double modes
+    assert _mod5(PELL_MATRIX) == ((4, 0), (4, 4))
+    assert _matmul(PELL_MATRIX, PELL_MATRIX) == DOUBLE_MODE_MATRIX
+
+
 def test_double_mode_rows_have_equal_adjacent_coefficients():
     # direct binomial comparison for the first two double-mode rows
     for m, n in DOUBLE_MODE_GOLDEN[:2]:

@@ -18,23 +18,34 @@ from morganvoyce import (
     locate_mode,
     moment_summary,
     ratio_to_float,
-    row_sum,
+    row_closed_form,
     smallest_mode_index,
 )
+from morganvoyce.moments import _uvw
 
 INV_SQRT5 = 1.0 / math.sqrt(5.0)
 B2 = 2.0 / (5.0 * math.sqrt(5.0))
 
 
 def test_row_sum_values():
-    assert row_sum(1) == 1  # F2
-    assert row_sum(4) == 21  # F8
-    assert row_sum(8) == 987  # 8+84+252+330+220+78+14+1 = F16
+    assert sum(row_closed_form(1)) == moment_summary(1).u == 1  # F2
+    assert sum(row_closed_form(4)) == moment_summary(4).u == 21  # F8
+    assert sum(row_closed_form(8)) == moment_summary(8).u == 987  # 8+84+252+330+220+78+14+1 = F16
 
 
-def test_row_sums_equal_even_fibonacci_to_120():
-    for n in range(1, 121):
-        assert row_sum(n) == fib(2 * n)
+def test_uvw_divisions_are_exact_for_every_n():
+    # F mod 5 repeats every 20 and F mod 25 every 100 (two consecutive terms
+    # fix the rest), and the coefficients in n repeat every 5 and 25.  So in n
+    # the v numerator mod 5 has period 10 and the w numerator mod 25 period
+    # 50: one period of each proves the division exact for every n.
+    assert (fib(20) % 5, fib(21) % 5) == (0, 1)
+    assert (fib(100) % 25, fib(101) % 25) == (0, 1)
+    for n in range(50):
+        u, v, w = _uvw(n)
+        f1 = fib(2 * n + 1)
+        assert u == fib(2 * n)
+        assert 5 * v == 2 * n * f1 + (2 - n) * u
+        assert 25 * w == (5 * n * n - n - 8) * u + 2 * n * f1
 
 
 def test_deriv1_initial_values():
@@ -140,8 +151,6 @@ def test_kepler_gap_values():
 
 
 def test_preconditions():
-    with pytest.raises(ValueError):
-        row_sum(0)
     with pytest.raises(ValueError):
         moment_summary(0)
     with pytest.raises(ValueError):

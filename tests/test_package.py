@@ -19,20 +19,20 @@ PUBLIC_NAMES = [
     "__version__",
     "fib", "binom", "ratio_to_float",
     "row_closed_form", "three_term_rows", "hereditary_rows", "reciprocal_row",
-    "MomentSummary", "row_sum", "deriv1_closed", "deriv2_closed", "moment_summary", "kepler_gap",
+    "MomentSummary", "deriv1_closed", "deriv2_closed", "moment_summary", "kepler_gap",
     "ModeResult", "PellSolution", "smallest_mode_index", "locate_mode",
     "double_mode_sequence", "pell_all_solutions",
     "CltReport", "HarperModel", "LocalLimitRow", "SingularityConstants", "normal_cdf",
-    "normal_pdf", "harper_model", "third_moment_bound_check", "kolmogorov_distance",
+    "normal_pdf", "harper_model", "kolmogorov_distance",
     "local_limit_error", "local_limit_row", "dominant_pole", "singularity_constants",
     "singularity_constants_numeric",
 ]
 
 
 def test_package_exports_the_public_names():
-    # same 34 names, none twice; the order is free
+    # same 32 names, none twice; the order is free
     assert sorted(morganvoyce.__all__) == sorted(PUBLIC_NAMES)
-    assert len(set(PUBLIC_NAMES)) == 34
+    assert len(set(PUBLIC_NAMES)) == 32
     for name in PUBLIC_NAMES:
         assert hasattr(morganvoyce, name)
 
@@ -45,7 +45,6 @@ INDEX_ENTRY_POINTS = [
     (morganvoyce.three_term_rows, 0, "max_n"),
     (functools.partial(morganvoyce.hereditary_rows, g=lambda k: k), 0, "max_n"),
     (morganvoyce.reciprocal_row, 1, "n"),
-    (morganvoyce.row_sum, 1, "n"),
     (morganvoyce.deriv1_closed, 0, "n"),
     (morganvoyce.deriv2_closed, 0, "n"),
     (morganvoyce.moment_summary, 1, "n"),
@@ -55,7 +54,6 @@ INDEX_ENTRY_POINTS = [
     (morganvoyce.double_mode_sequence, 1, "count"),
     (morganvoyce.pell_all_solutions, 1, "count"),
     (morganvoyce.harper_model, 2, "n"),
-    (morganvoyce.third_moment_bound_check, 2, "n"),
     (morganvoyce.kolmogorov_distance, 2, "n"),
     (morganvoyce.local_limit_error, 2, "n"),
     (morganvoyce.local_limit_row, 2, "n"),
