@@ -9,7 +9,7 @@ ratio) to 1/sqrt(5) and 2/(5 sqrt(5)).
 
 import math
 
-from morganvoyce import fib, kepler_gap, moment_summary, ratio_to_float, row_closed_form
+from morganvoyce import fib, moment_summary, ratio_to_float, row_closed_form
 
 A = 1.0 / math.sqrt(5.0)
 B2 = 2.0 / (5.0 * math.sqrt(5.0))
@@ -34,8 +34,8 @@ print()
 print("Convergence of mu/n and sigma^2/n to 1/sqrt(5), 2/(5 sqrt(5)):")
 print(f"  {'n':>6} {'mu/n':>12} {'gap':>10} {'var/n':>12} {'gap':>10}")
 for n in (10, 100, 1000, 10000):
-    mu_rate, var_rate = kepler_gap(n)
-    mf, vf = ratio_to_float(mu_rate), ratio_to_float(var_rate)
+    s = moment_summary(n)
+    mf, vf = ratio_to_float(s.mu / n), ratio_to_float(s.sigma2 / n)
     print(f"  {n:>6} {mf:>12.8f} {abs(mf - A):>10.2e} {vf:>12.8f} {abs(vf - B2):>10.2e}")
 print(f"  limit  {A:>12.8f} {'':>10} {B2:>12.8f}")
 

@@ -237,7 +237,7 @@ def singularity_constants() -> SingularityConstants:
     r(0) = (3 - sqrt(5))/2, r'(0) = 1/2 - 3/(2 sqrt(5)),
     r''(0) = 1/2 - 11/(10 sqrt(5)); then a = -r'(0)/r(0) and
     b^2 = a^2 - r''(0)/r(0), which equal 1/sqrt(5) and 2/(5 sqrt(5)) to
-    1e-12 (tests/test_limits.py).
+    1e-12 (tests/test_acceptance.py).
     """
     r0 = (3.0 - SQRT5) / 2.0
     r1 = 0.5 - 3.0 / (2.0 * SQRT5)

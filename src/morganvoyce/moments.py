@@ -23,7 +23,6 @@ __all__ = [
     "deriv1_closed",
     "deriv2_closed",
     "moment_summary",
-    "kepler_gap",
 ]
 
 
@@ -76,13 +75,3 @@ def moment_summary(n: int) -> MomentSummary:
     mu = Fraction(v, u)
     sigma2 = Fraction(w * u - v * v + v * u, u * u)
     return MomentSummary(n=n, u=u, v=v, w=w, mu=mu, sigma2=sigma2)
-
-
-def kepler_gap(n: int) -> Tuple[Fraction, Fraction]:
-    """(mu/n, sigma^2/n) as exact rationals.
-
-    Both converge (Kepler: consecutive Fibonacci ratios tend to the golden
-    ratio) to 1/sqrt(5) ~ 0.4472136 and 2/(5 sqrt(5)) ~ 0.1788854.
-    """
-    s = moment_summary(_index(n, 1, "kepler_gap"))
-    return (s.mu / s.n, s.sigma2 / s.n)

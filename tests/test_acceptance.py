@@ -134,53 +134,60 @@ def test_01_golden_triangle_by_all_three_routes():
             assert all(c.denominator == 1 for c in hh[n])
 
 
-def test_02_row_sums_are_even_fibonacci_to_2000():
-    with gate("02 row sums equal F(2n) for n <= 2000", budget=5.0):
-        for n in range(1, 2001):
-            assert sum(row_closed_form(n)) == fib(2 * n)
-
-
 def test_03_closed_form_moments_match_weighted_sums_to_2000():
-    with gate("03 closed-form mu, sigma^2 match weighted sums for n <= 2000", budget=10.0):
-        assert [deriv1_closed(n) for n in (1, 2, 3, 4)] == [1, 4, 14, 46]
-        assert [deriv2_closed(n) for n in (1, 2, 3, 4, 5, 6)] == [0, 2, 14, 68, 282, 1068]
+    with gate("03 row sums F(2n), closed-form mu, sigma^2 match weighted sums for n <= 2000", budget=10.0):
         for n in range(1, 2001):
             row = row_closed_form(n)
             u = sum(row)
             v = sum(k * a for k, a in enumerate(row))
             w = sum(k * (k - 1) * a for k, a in enumerate(row))
             s = moment_summary(n)
-            assert (s.u, s.v, s.w) == (u, v, w)
+            assert u == fib(2 * n) == s.u
+            assert (deriv1_closed(n), deriv2_closed(n)) == (s.v, s.w) == (v, w)
             assert s.mu == Fraction(v, u)
             assert s.sigma2 == Fraction(w, u) - Fraction(v, u) ** 2 + Fraction(v, u)
 
 
 def test_04_mode_location_and_double_mode_rows():
-    with gate("04 mode location, n = 72 double mode, six golden pairs", budget=5.0):
+    with gate("04 mode location and double-mode flag for n <= 500, six golden pairs, rows 72 and 23184", budget=5.0):
         for n in range(1, 501):
             row = row_closed_form(n)
-            assert row.index(max(row)) == smallest_mode_index(n)
+            m = smallest_mode_index(n)
+            assert row.index(max(row)) == m
+            assert locate_mode(n).is_double == (m < n and row[m] == row[m + 1])
         r72 = locate_mode(72)
         assert (r72.smallest_mode, r72.is_double) == (32, True)
         row72 = row_closed_form(72)
         assert row72[32] == row72[33] == 61218182743304701891431482520
-        assert [(s.m, s.n) for s in double_mode_sequence(6)] == DOUBLE_MODE_GOLDEN
+        sols = double_mode_sequence(6)
+        assert [(s.k, s.m, s.n, s.j) for s in sols] == [
+            (k, m, n, 5 * m + 1) for k, (m, n) in enumerate(DOUBLE_MODE_GOLDEN, 1)
+        ]
+        # the equal peaks of the first two double-mode rows, by direct binomials
+        for m, n in DOUBLE_MODE_GOLDEN[:2]:
+            assert binom(n + m - 1, 2 * m - 1) == binom(n + m, 2 * m + 1)
 
 
 def test_05_mode_within_unit_of_mean():
-    with gate("05 0 < |mu - nearer mode| < 1 for 2 <= n <= 500"):
-        for n in range(2, 501):
+    with gate("05 0 < |mu - nearer mode| < 1 for 2 <= n <= 500 and the double-mode row n = 23184"):
+        for n in [*range(2, 501), DOUBLE_MODE_GOLDEN[1][1]]:
             r = locate_mode(n)
             assert Fraction(0) < r.darroch_gap < Fraction(1)
+            # the gap really is the distance from the mean to the nearer mode
+            mu = moment_summary(n).mu
+            candidates = [r.smallest_mode] + ([r.smallest_mode + 1] if r.is_double else [])
+            assert r.darroch_gap == min(abs(mu - m) for m in candidates)
 
 
 def test_06_growth_constants():
-    with gate("06 a = 1/sqrt(5), b^2 = 2/(5 sqrt(5)) closed form + finite differences"):
+    with gate("06 r0 = (3 - sqrt(5))/2, a = 1/sqrt(5), b^2 = 2/(5 sqrt(5)) closed form + finite differences"):
         closed = singularity_constants()
+        assert abs(closed.r0 - 0.3819660112501051) < 1e-15
         assert abs(closed.a - INV_SQRT5) < 1e-12
         assert abs(closed.b2 - B2) < 1e-12
         for h in (1e-3, 1e-4):
             numeric = singularity_constants_numeric(h)
+            assert abs(numeric.r0 - closed.r0) < 1e-15  # no differencing at s = 0
             assert abs(numeric.a - closed.a) < 10.0 * h * h
             assert abs(numeric.b2 - closed.b2) < 10.0 * h * h
 
@@ -227,6 +234,7 @@ def test_10_generic_weight_specializations(set_partition_counts):
         unit = hereditary_rows(50, lambda k: 1)
         for n in range(1, 51):
             assert unit[n] == [binom(n - 1, k - 1) for k in range(n + 1)]
+        # n! * coeff(n, k) = k! * S(n, k): ordered partitions into k blocks
         fact = hereditary_rows(12, lambda k: Fraction(1, math.factorial(k)))
         for n in range(1, 13):
             stirling = set_partition_counts(n)
@@ -240,3 +248,4 @@ def test_11_local_limit_sup_error_monotone_spot_check():
         e1000 = local_limit_error(1000, -3.0, 3.0, 601)
         assert math.isfinite(e100) and math.isfinite(e1000)
         assert e1000 < e100
+        assert e1000 < 0.05

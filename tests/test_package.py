@@ -1,7 +1,10 @@
-"""The package namespace: every public name of every module, re-exported."""
+"""The package namespace: every public name of every module, re-exported,
+the index rule at every entry point, the numpy-free import path, and the
+README's library example."""
 
 from __future__ import annotations
 
+import doctest
 import functools
 import os
 import subprocess
@@ -13,13 +16,14 @@ import pytest
 
 import morganvoyce
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 PUBLIC_NAMES = [
     "__version__",
     "fib", "binom", "ratio_to_float",
     "row_closed_form", "three_term_rows", "hereditary_rows", "reciprocal_row",
-    "MomentSummary", "deriv1_closed", "deriv2_closed", "moment_summary", "kepler_gap",
+    "MomentSummary", "deriv1_closed", "deriv2_closed", "moment_summary",
     "ModeResult", "PellSolution", "smallest_mode_index", "locate_mode",
     "double_mode_sequence", "pell_all_solutions",
     "CltReport", "HarperModel", "LocalLimitRow", "SingularityConstants", "normal_cdf",
@@ -30,9 +34,9 @@ PUBLIC_NAMES = [
 
 
 def test_package_exports_the_public_names():
-    # same 32 names, none twice; the order is free
+    # same 31 names, none twice; the order is free
     assert sorted(morganvoyce.__all__) == sorted(PUBLIC_NAMES)
-    assert len(set(PUBLIC_NAMES)) == 32
+    assert len(set(PUBLIC_NAMES)) == 31
     for name in PUBLIC_NAMES:
         assert hasattr(morganvoyce, name)
 
@@ -48,7 +52,6 @@ INDEX_ENTRY_POINTS = [
     (morganvoyce.deriv1_closed, 0, "n"),
     (morganvoyce.deriv2_closed, 0, "n"),
     (morganvoyce.moment_summary, 1, "n"),
-    (morganvoyce.kepler_gap, 1, "n"),
     (morganvoyce.smallest_mode_index, 1, "n"),
     (morganvoyce.locate_mode, 1, "n"),
     (morganvoyce.double_mode_sequence, 1, "count"),
@@ -111,3 +114,9 @@ def test_import_path_and_cli_load_no_numpy():
     proc = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count('"command"') == 4  # each command printed its json document
+
+
+def test_readme_library_example_runs():
+    failures, attempted = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert attempted > 0
+    assert failures == 0

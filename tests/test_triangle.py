@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from morganvoyce import (
-    binom,
     fib,
     hereditary_rows,
     reciprocal_row,
@@ -17,36 +16,6 @@ from morganvoyce import (
     three_term_rows,
     triangle,
 )
-
-# Rows 1..8 of OEIS A078812, including the explicit k = 0 zero.
-GOLDEN_ROWS = {
-    1: [0, 1],
-    2: [0, 2, 1],
-    3: [0, 3, 4, 1],
-    4: [0, 4, 10, 6, 1],
-    5: [0, 5, 20, 21, 8, 1],
-    6: [0, 6, 35, 56, 36, 10, 1],
-    7: [0, 7, 56, 126, 120, 55, 12, 1],
-    8: [0, 8, 84, 252, 330, 220, 78, 14, 1],
-}
-
-
-def test_closed_form_golden_rows():
-    for n, row in GOLDEN_ROWS.items():
-        assert row_closed_form(n) == row
-    assert row_closed_form(8)[4] == 330
-
-
-def test_three_term_golden_rows():
-    rows = three_term_rows(7)
-    assert rows[2] == [0, 2, 1]  # Q2 = x(x + 2)
-    assert rows[3] == [0, 3, 4, 1]
-    assert rows[7] == [0, 7, 56, 126, 120, 55, 12, 1]
-
-
-def test_hereditary_integer_weight_golden_row():
-    assert hereditary_rows(4, lambda k: k)[4] == [0, 4, 10, 6, 1]
-
 
 def test_rows_reject_bad_n():
     for fn in (row_closed_form, reciprocal_row):
@@ -83,24 +52,6 @@ def test_row_shape_invariants_to_500(rows500):
         while k < n:
             assert row[k + 1] <= row[k]
             k += 1
-
-
-def test_unit_weight_gives_shifted_pascal():
-    rows = hereditary_rows(50, lambda k: 1)
-    for n in range(1, 51):
-        assert rows[n] == [binom(n - 1, k - 1) for k in range(n + 1)]
-    assert rows[5][3] == 6  # C(4, 2)
-
-
-def test_reciprocal_weight_counts_block_partitions(set_partition_counts):
-    # With g(k) = 1/k!, row n scaled by n! counts partitions of an n-set into
-    # k ordered blocks: n! * coeff(n, k) = k! * S(n, k).
-    rows = hereditary_rows(12, lambda k: Fraction(1, math.factorial(k)))
-    for n in range(1, 13):
-        stirling = set_partition_counts(n)
-        for k in range(n + 1):
-            assert rows[n][k] * math.factorial(n) == math.factorial(k) * stirling[k]
-    assert rows[4][2] == Fraction(7, 12)  # 2! * S(4,2) / 4! with S(4,2) = 7
 
 
 def test_integer_weights_give_python_int_rows():
