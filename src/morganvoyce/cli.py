@@ -8,7 +8,8 @@ error (an unwritable --output or an integer beyond the int-to-str digit limit
 included), 1 internal check failure (clt's Berry-Esseen bound).  Identical
 invocations produce byte-identical output.  Nothing is written unless the
 whole document renders, so a failed run leaves stdout empty and an existing
---output file untouched; the CLI holds one copy of the output text in memory.
+--output file untouched: the document's pieces are joined into one string
+once, and that string is written once.
 
 Each table's columns are the fields of the result dataclass it reports
 (``MomentSummary``, ``ModeResult``, ``PellSolution``, ``CltReport``,
@@ -22,17 +23,19 @@ values are validated by the library; its ``ValueError`` becomes exit 2.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Sequence
 
 from . import __version__, limits, modes, moments, triangle
 from .exact import ratio_to_float
 
 __all__ = ["main"]
+
+# json's spelling of the constants, and of the reprs of nan and the infinities
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 # Each size argument's largest value whose output stays within Python's
 # default int-to-str digit limit, measured per command; one more exits 2.
@@ -60,30 +63,61 @@ def _grid(text: str) -> tuple:
     return lo, hi, steps
 
 
-def _json_value(value):
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_json_value(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _json_value(v) for k, v in value.items()}
-    return value
+def _json_pieces(value, indent: str, out: List[str]) -> None:
+    """Append ``value`` to ``out`` as ``json.dump(..., indent=2)`` writes it, with
+    ints (not bools) and Fractions as quoted decimal strings; ``indent`` is a
+    newline followed by the current indentation."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        out.append(_JSON_NON_FINITE.get(text, text))
+    elif value is None or value is True or value is False:
+        out.append(_JSON_CONSTANTS[value])
+    elif isinstance(value, (int, Fraction)):
+        out.append(f'"{value!s}"')
+    elif isinstance(value, (dict, list, tuple)):
+        inner = indent + "  "
+        first = len(out)
+        if not value:
+            out.append("{}" if isinstance(value, dict) else "[]")
+        elif isinstance(value, dict):
+            for key, item in value.items():
+                out.append(f",{inner}{encode_basestring_ascii(key)}: ")
+                _json_pieces(item, inner, out)
+            out[first] = "{" + out[first][1:]
+            out.append(indent + "}")
+        elif all(type(v) is int for v in value):  # a coefficient row: one join
+            out += ("[", inner, '"', f'",{inner}"'.join(map(str, value)), '"', indent, "]")
+        else:
+            for item in value:
+                out.append("," + inner)
+                _json_pieces(item, inner, out)
+            out[first] = "[" + inner
+            out.append(indent + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _render(rows: List[Dict], meta: Dict, fmt: str) -> str:
-    """The whole document as text; the only place values become text."""
-    buf = io.StringIO()
+    """The whole document as text; the only place values become text.
+
+    The pieces are collected in one list and joined once.  csv and tsv cells
+    are never quoted: every cell is a number, a bool (``true``/``false``) or
+    a fixed ASCII name, so none holds a delimiter, a quote or a newline.
+    """
     if fmt == "json":
-        json.dump(_json_value({"meta": meta, "rows": rows}), buf, indent=2)
-        buf.write("\n")
-    else:  # a table's rows share one key order; csv applies str() to the rest
-        writer = csv.writer(buf, delimiter="," if fmt == "csv" else "\t", lineterminator="\n")
-        writer.writerow(rows[0].keys())
-        writer.writerows(
-            [("true" if v else "false") if type(v) is bool else v for v in row.values()]
-            for row in rows
-        )
-    return buf.getvalue()
+        out: List[str] = []
+        _json_pieces({"meta": meta, "rows": rows}, "\n", out)
+        out.append("\n")
+        return "".join(out)
+    delim = "," if fmt == "csv" else "\t"  # a table's rows share one key order
+    lines = [delim.join(rows[0])]
+    for row in rows:
+        cells = [("true" if v else "false") if type(v) is bool else str(v) for v in row.values()]
+        lines.append(delim.join(cells))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _cmd_triangle(args) -> List[Dict]:

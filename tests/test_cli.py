@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import errno
+import io
 import json
 import sys
 from fractions import Fraction
@@ -294,6 +296,7 @@ def test_output_file(tmp_path, capsys):
         ("moments_max_n_20.json", ["moments", "--max-n", "20"]),
         ("modes_max_n_100.json", ["modes", "--max-n", "100"]),
         ("pell_count_6.json", ["pell", "--count", "6"]),
+        ("modes_max_n_100.csv", ["--format", "csv", "modes", "--max-n", "100"]),
     ],
 )
 def test_exact_commands_match_golden_output(capsys, name, argv):
@@ -303,3 +306,62 @@ def test_exact_commands_match_golden_output(capsys, name, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+def stringify(value):
+    """The document json.dump sees: ints (not bools) and Fractions as strings."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [stringify(v) for v in value]
+    if isinstance(value, dict):
+        return {k: stringify(v) for k, v in value.items()}
+    return value
+
+
+def stdlib_render(rows, meta, fmt):
+    if fmt == "json":
+        return json.dumps(stringify({"meta": meta, "rows": rows}), indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter="," if fmt == "csv" else "\t", lineterminator="\n")
+    writer.writerow(rows[0])
+    writer.writerows(
+        [("true" if v else "false") if type(v) is bool else v for v in row.values()] for row in rows
+    )
+    return buf.getvalue()
+
+
+COMMAND_ARGV = {
+    "triangle": ["triangle", "--max-n", "12"],
+    "moments": ["moments", "--max-n", "30"],
+    "modes": ["modes", "--max-n", "80"],
+    "pell": ["pell", "--count", "4"],
+    "clt": ["clt", "--n", "2", "--n", "40", "--grid=-2:2:51"],
+    "local-table": ["local-table", "--n", "2", "--n", "10"],
+    "singularity": ["singularity", "--h", "1e-3", "--h", "1e-5"],
+}
+
+# json documents no command produces yet
+SYNTHETIC_ROWS = {
+    "empty-and-nested": [{"empty": [], "nothing": {}, "nested": (1, (2.5, "x"), ()), "none": None}],
+    "bools-and-fractions": [{"flags": [True, False, 3], "ratio": Fraction(-7, 3), "big": [10**40, -1]}],
+    "floats": [{"floats": [-0.0, 1e-06, 1e300, float("nan"), float("inf"), -float("inf")]}],
+    "strings": [{'q"uote': 'a"b\\c\x01d\u00e9\u2603\n', "k\u00e9y": ["\t", ""]}],
+}
+
+
+@pytest.mark.parametrize(
+    "source, fmt",
+    [(command, fmt) for command in sorted(COMMAND_ARGV) for fmt in ("json", "csv", "tsv")]
+    + [(name, "json") for name in SYNTHETIC_ROWS],
+)
+def test_render_matches_stdlib_writers(source, fmt):
+    if source in COMMAND_ARGV:
+        args = cli._build_parser().parse_args(["--format", fmt, *COMMAND_ARGV[source]])
+        rows = args.run(args)
+    else:
+        rows = SYNTHETIC_ROWS[source]
+    meta = {"command": source, "parameters": {"grid": (-2.0, 2.0, 51), "n": [2, 40], "h": []}}
+    # csv.writer quotes any cell that holds a delimiter, a quote or a newline,
+    # so equality also shows that no cell of any command needs quoting
+    assert cli._render(rows, meta, fmt) == stdlib_render(rows, meta, fmt)
