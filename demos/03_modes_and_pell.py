@@ -12,7 +12,6 @@ it row by row.
 from morganvoyce import (
     double_mode_sequence,
     locate_mode,
-    pell_all_solutions,
     ratio_to_float,
     row_closed_form,
 )
@@ -37,9 +36,11 @@ print(f"  equal: {row[32] == row[33]}")
 
 print()
 print("All solutions of j^2 - 5n^2 = 1 (fundamental matrix [[9, 20], [4, 9]]):")
-for i, (j, n) in enumerate(pell_all_solutions(7)):
+j, n = 1, 0
+for i in range(7):
     mark = "  <- j = 1 mod 5, double-mode row" if j % 5 == 1 and n > 0 else ""
     print(f"  index {i}: (j, n) = ({j}, {n}){mark}")
+    j, n = 9 * j + 20 * n, 4 * j + 9 * n
 
 print()
 print("Double-mode rows (m_k, n_k) from the squared matrix [[161, 360], [72, 161]]:")

@@ -120,17 +120,25 @@ def _render(rows: List[Dict], meta: Dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
+def _digit_limit_message() -> str:
+    return (
+        f"an output integer exceeds Python's {sys.get_int_max_str_digits()}-digit "
+        "int-to-str limit; use a smaller --count or --max-n"
+    )
+
+
 def _cmd_triangle(args) -> List[Dict]:
+    # A(n, k) grows with n, so the last row holds the table's largest integer:
+    # it is built and checked against the digit limit before the other rows
+    last = triangle.row_closed_form(args.max_n)
+    try:
+        str(max(last))
+    except ValueError:
+        raise ValueError(_digit_limit_message()) from None
+    coeffs = [*map(triangle.row_closed_form, range(1, args.max_n)), last]
     if args.format == "json":
-        return [
-            {"n": n, "coeffs": triangle.row_closed_form(n)}
-            for n in range(1, args.max_n + 1)
-        ]
-    rows = []
-    for n in range(1, args.max_n + 1):
-        for k, a in enumerate(triangle.row_closed_form(n)):
-            rows.append({"n": n, "k": k, "A": a})
-    return rows
+        return [{"n": n, "coeffs": row} for n, row in enumerate(coeffs, 1)]
+    return [{"n": n, "k": k, "A": a} for n, row in enumerate(coeffs, 1) for k, a in enumerate(row)]
 
 
 def _cmd_moments(args) -> List[Dict]:
@@ -152,7 +160,7 @@ def _cmd_modes(args) -> List[Dict]:
 
 
 def _cmd_pell(args) -> List[Dict]:
-    return [dict(vars(s)) for s in modes.double_mode_sequence(args.count)]
+    return [vars(s) for s in modes.double_mode_sequence(args.count)]
 
 
 def _cmd_clt(args) -> List[Dict]:
@@ -167,7 +175,7 @@ def _cmd_clt(args) -> List[Dict]:
 
 
 def _cmd_local_table(args) -> List[Dict]:
-    return [dict(vars(limits.local_limit_row(n))) for n in sorted(set(args.n))]
+    return [vars(limits.local_limit_row(n)) for n in sorted(set(args.n))]
 
 
 def _cmd_singularity(args) -> List[Dict]:
@@ -197,7 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact coefficient-triangle tables and limit-theorem verification reports.",
     )
     _add_common(parser, top=True)
-    parser.set_defaults(output=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("triangle", help="coefficient rows 1..max-n")
@@ -256,9 +263,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "version": __version__,
         "command": args.command,
         "parameters": {
-            k: v
-            for k, v in sorted(vars(args).items())
-            if k not in ("run", "command", "output") and v is not None
+            k: v for k, v in sorted(vars(args).items()) if k not in ("run", "command", "output")
         },
     }
     try:
@@ -273,11 +278,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         text = _render(rows, meta, args.format)
     except ValueError:  # str() of an integer beyond the interpreter's digit limit
-        _diagnose(
-            args.command,
-            f"an output integer exceeds Python's {sys.get_int_max_str_digits()}-digit "
-            "int-to-str limit; use a smaller --count or --max-n",
-        )
+        _diagnose(args.command, _digit_limit_message())
         return 2
 
     try:

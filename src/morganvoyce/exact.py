@@ -54,8 +54,8 @@ def binom(n: int, k: int) -> int:
 
     Out-of-range k returning 0 is relied on by callers that form C(n-1, -1).
     """
-    if n < 0:
-        raise ValueError(f"binom requires n >= 0, got {n}")
+    n = _index(n, 0, "binom")
+    k = _index(k, -math.inf, "binom", "k")  # no lower bound: k outside 0..n gives 0
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)

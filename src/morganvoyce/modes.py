@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List
 
 from .exact import _index
 from .moments import _uvw
@@ -26,7 +26,6 @@ __all__ = [
     "smallest_mode_index",
     "locate_mode",
     "double_mode_sequence",
-    "pell_all_solutions",
 ]
 
 
@@ -89,17 +88,3 @@ def double_mode_sequence(count: int) -> List[PellSolution]:
         out.append(PellSolution(k=k, m=(j - 1) // 5, n=n, j=j))
     return out
 
-
-def pell_all_solutions(count: int) -> List[Tuple[int, int]]:
-    """First `count` non-negative solutions (j, n) of j^2 - 5n^2 = 1.
-
-    Iterates the fundamental matrix [[9, 20], [4, 9]] from (1, 0).  It keeps
-    j^2 - 5n^2 and swaps j = 1 and j = 4 mod 5: even iterates are double modes.
-    """
-    count = _index(count, 1, "pell_all_solutions", "count")
-    out: List[Tuple[int, int]] = []
-    j, n = 1, 0
-    for _ in range(count):
-        out.append((j, n))
-        j, n = 9 * j + 20 * n, 4 * j + 9 * n
-    return out

@@ -6,13 +6,22 @@ import csv
 import errno
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from morganvoyce import cli, limits
+from morganvoyce import (
+    cli,
+    double_mode_sequence,
+    limits,
+    locate_mode,
+    moment_summary,
+    row_closed_form,
+    triangle,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -41,8 +50,6 @@ def test_triangle_json_round_trip_is_lossless(capsys):
     code, out, _ = run(capsys, "triangle", "--max-n", "40")
     assert code == 0
     doc = json.loads(out)
-    from morganvoyce import row_closed_form
-
     for row in doc["rows"]:
         n = int(row["n"])
         assert [int(c) for c in row["coeffs"]] == row_closed_form(n)
@@ -277,6 +284,62 @@ def test_failed_run_leaves_output_file_alone(tmp_path, capsys, low_digit_limit):
     assert code == 2
     assert out == ""
     assert target.read_bytes() == b"precious\n"
+
+
+def test_triangle_checks_its_size_before_building_rows(tmp_path, capsys, monkeypatch, low_digit_limit):
+    # a third row means the table is being built: fail at once instead of
+    # allocating rows up to 1536 that cannot be printed
+    calls = []
+    kernel = triangle.row_closed_form
+
+    def counted(n):
+        calls.append(n)
+        assert len(calls) < 3, "rows were built before the digit-limit check"
+        return kernel(n)
+
+    monkeypatch.setattr(triangle, "row_closed_form", counted)
+    target = tmp_path / "keep.json"
+    target.write_bytes(b"precious\n")
+    for argv in (["--format", "json"], ["--format", "csv"], ["--output", str(target)]):
+        calls.clear()
+        code, out, err = run(capsys, *argv, "triangle", "--max-n", "1536")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "640-digit" in err and "--max-n" in err
+    assert target.read_bytes() == b"precious\n"
+
+
+def _printed_ints(result):
+    """The integers a command prints for one library result: every int field,
+    and each Fraction's numerator and denominator."""
+    out = []
+    for value in vars(result).values():
+        if isinstance(value, Fraction):
+            out += [abs(value.numerator), value.denominator]
+        elif type(value) is int:
+            out.append(value)
+    return out
+
+
+# the largest integer each size-limited command prints for size N: its last
+# row or result holds it, since the values grow with N
+LARGEST_PRINTED = {
+    "triangle": lambda n: max(row_closed_form(n)),
+    "moments": lambda n: max(_printed_ints(moment_summary(n))),
+    "modes": lambda n: max(_printed_ints(locate_mode(n))),
+    "pell": lambda count: max(_printed_ints(double_mode_sequence(count)[-1])),
+}
+
+
+def test_help_limits_are_the_largest_sizes_that_print():
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    for command, largest in LARGEST_PRINTED.items():
+        (size,) = [a for a in sub.choices[command]._actions if a.dest in ("max_n", "count")]
+        match = re.match(r"at most (\d+) under Python's default (\d+)-digit", size.help)
+        limit, digits = int(match[1]), int(match[2])
+        # compared with 10**digits, so no integer is ever converted to text
+        assert largest(limit) < 10**digits <= largest(limit + 1), command
 
 
 def test_output_file(tmp_path, capsys):

@@ -84,11 +84,6 @@ def test_harper_root_sum_matches_subleading_coefficient(rows500):
         assert abs(float(np.sum(model.roots)) - 2 * (n - 1)) < 1e-9 * n
 
 
-def test_harper_rejects_degenerate_row():
-    with pytest.raises(ValueError):
-        harper_model(1)
-
-
 def test_third_moment_domination_pointwise():
     # A factor with success probability 1/(1+r) has var = r/(1+r)^2 and
     # rho = r(1+r^2)/(1+r)^4, so var - rho = 2r^2/(1+r)^4 >= 0 for r >= 0.
@@ -145,11 +140,6 @@ def test_kolmogorov_float_error_within_a_priori_bound():
             assert abs(r.kolmogorov - d) <= bound, n
 
 
-def test_kolmogorov_rejects_degenerate_row():
-    with pytest.raises(ValueError):
-        kolmogorov_distance(1)
-
-
 # ---------------------------------------------------------------------------
 # local limit errors
 # ---------------------------------------------------------------------------
@@ -189,8 +179,6 @@ def test_local_limit_error_validates_grid():
         local_limit_error(10, 3.0, -3.0)
     with pytest.raises(ValueError):
         local_limit_error(10, -3.0, 3.0, steps=1)
-    with pytest.raises(ValueError):
-        local_limit_error(1)
     # an infinite end, and finite ends whose span overflows to inf
     for grid in [(-math.inf, 3.0, 10), (-3.0, math.inf, 10), (-1e308, 1e308, 10)]:
         with pytest.raises(ValueError, match=r"^local_limit_error requires finite x_hi - x_lo > 0, got "):

@@ -2,14 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
-from morganvoyce import (
-    double_mode_sequence,
-    locate_mode,
-    pell_all_solutions,
-    smallest_mode_index,
-)
+from morganvoyce import double_mode_sequence, locate_mode, smallest_mode_index
 
 def test_locate_mode_examples():
     r5 = locate_mode(5)
@@ -59,9 +52,8 @@ def _mod5(m):
 
 
 def test_pell_matrices_keep_the_form_and_the_residue_for_every_iterate():
-    # Both functions iterate these matrices from (1, 0): two steps fix a 2x2
-    # linear map, and three iterates are compared.
-    assert pell_all_solutions(4) == _iterates(PELL_MATRIX, 4)
+    # double_mode_sequence iterates the second matrix from (1, 0): two steps
+    # fix a 2x2 linear map, and three iterates are compared.
     assert [(s.j, s.n) for s in double_mode_sequence(3)] == _iterates(DOUBLE_MODE_MATRIX, 4)[1:]
     # M^T diag(1, -5) M = diag(1, -5) keeps j^2 - 5n^2 = 1 from (1, 0) on.
     # Both upper-right entries are 0 mod 5, so j mod 5 follows from j alone.
@@ -75,17 +67,8 @@ def test_pell_matrices_keep_the_form_and_the_residue_for_every_iterate():
     assert _matmul(PELL_MATRIX, PELL_MATRIX) == DOUBLE_MODE_MATRIX
 
 
-def test_pell_all_solutions_examples():
-    sols = pell_all_solutions(3)
-    assert sols == [(1, 0), (9, 4), (161, 72)]
-    assert 161**2 - 5 * 72**2 == 1
-
-
 def test_pell_solutions_recurrence_and_parity():
-    sols = pell_all_solutions(12)
-    for i in range(len(sols) - 1):
-        j, n = sols[i]
-        assert sols[i + 1] == (9 * j + 20 * n, 4 * j + 9 * n)
+    sols = _iterates(PELL_MATRIX, 12)
     for i, (j, n) in enumerate(sols):
         assert j * j - 5 * n * n == 1
         assert (j % 5 == 1) == (i % 2 == 0)
@@ -100,12 +83,3 @@ def test_no_spurious_double_modes_below_ten_thousand():
         if 5 * m * m + 2 * m == n * n:
             found.add(n)
     assert found == {72}  # the first double-mode row; the second is 23184
-
-
-def test_preconditions():
-    with pytest.raises(ValueError):
-        locate_mode(0)
-    with pytest.raises(ValueError):
-        double_mode_sequence(0)
-    with pytest.raises(ValueError):
-        pell_all_solutions(0)

@@ -5,20 +5,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-import pytest
-
 from morganvoyce import (
     deriv1_closed,
     deriv2_closed,
     fib,
-    kolmogorov_distance,
-    local_limit_error,
-    locate_mode,
     moment_summary,
     ratio_to_float,
     row_closed_form,
-    smallest_mode_index,
 )
 from morganvoyce.moments import _uvw
 
@@ -81,22 +74,6 @@ def test_moments_equal_fibonacci_ratio_forms_to_2000():
         assert s.sigma2 == Fraction(4, 25) * (ratio - half - correction) * n
 
 
-def test_numpy_int_index_gives_the_python_int_results():
-    n = np.int64(100)
-    for f in (
-        deriv1_closed,
-        deriv2_closed,
-        moment_summary,
-        smallest_mode_index,
-        locate_mode,
-        kolmogorov_distance,
-        local_limit_error,
-    ):
-        assert f(n) == f(100), f.__name__
-    assert type(moment_summary(n).n) is int
-    assert type(locate_mode(n).n) is int
-
-
 def test_mean_is_never_integer_for_n_from_2_to_500():
     for n in range(2, 501):
         s = moment_summary(n)
@@ -133,9 +110,3 @@ def test_kepler_gap_values():
     assert abs(ratio_to_float(mu_rate) - 0.4472136) < 5e-4
     assert abs(ratio_to_float(var_rate) - 0.1788854) < 5e-4
 
-
-def test_preconditions():
-    with pytest.raises(ValueError):
-        moment_summary(0)
-    with pytest.raises(ValueError):
-        deriv1_closed(-1)

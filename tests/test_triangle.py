@@ -17,16 +17,6 @@ from morganvoyce import (
     triangle,
 )
 
-def test_rows_reject_bad_n():
-    for fn in (row_closed_form, reciprocal_row):
-        with pytest.raises(ValueError):
-            fn(0)
-    with pytest.raises(ValueError):
-        three_term_rows(-1)
-    with pytest.raises(ValueError):
-        hereditary_rows(-1, lambda k: k)
-
-
 def test_three_routes_agree_exactly_to_200(rows500):
     tt = three_term_rows(200)
     hh = hereditary_rows(200, lambda k: k)
@@ -132,11 +122,3 @@ def test_reciprocal_row_calls_the_kernel_once(monkeypatch):
     monkeypatch.setattr(triangle, "row_closed_form", counted)
     assert reciprocal_row(np.int64(40)) == kernel(40)[::-1]
     assert calls == [40] and type(calls[0]) is int
-
-
-def test_numpy_int_index_gives_exact_python_int_rows():
-    # int64 arithmetic would overflow inside the binomials at n = 100
-    for route in (row_closed_form, reciprocal_row):
-        row = route(np.int64(100))
-        assert row == route(100)
-        assert all(type(a) is int for a in row)
