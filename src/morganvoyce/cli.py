@@ -16,8 +16,13 @@ Each table's columns are the fields of the result dataclass it reports
 ``LocalLimitRow``, ``SingularityConstants``), in declaration order, followed
 by the float columns the command adds.  Rows are built from ``vars(result)``,
 so those dataclasses must keep their instance ``__dict__`` (no
-``slots=True``), and reordering their fields reorders the columns.  Argument
-values are validated by the library; its ``ValueError`` becomes exit 2.
+``slots=True``), and reordering their fields reorders the columns.
+
+The parser owns the syntax (``--format`` and ``--output`` go before the
+command) and one value rule, ``--max-n``/``--count`` >= 1, because
+``moments`` and ``modes`` never pass ``max_n`` to the library.  Every other
+value rule belongs to the library, ``--grid``'s included, and its
+``ValueError`` becomes exit 2.
 """
 
 from __future__ import annotations
@@ -50,17 +55,14 @@ def _positive_int(text: str) -> int:
 
 
 def _grid(text: str) -> tuple:
-    """Parse LO:HI:STEPS."""
+    """Split LO:HI:STEPS into floats and an int; local_limit_error checks the values."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid must be LO:HI:STEPS, got {text!r}")
     try:
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        return float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError(f"grid must be LO:HI:STEPS, got {text!r}")
-    if not lo < hi or steps < 2:
-        raise argparse.ArgumentTypeError(f"grid needs LO < HI and STEPS >= 2, got {text!r}")
-    return lo, hi, steps
 
 
 def _json_pieces(value, indent: str, out: List[str]) -> None:
@@ -164,14 +166,12 @@ def _cmd_pell(args) -> List[Dict]:
 
 
 def _cmd_clt(args) -> List[Dict]:
-    lo, hi, steps = args.grid
-    return [
-        {
-            **vars(limits.kolmogorov_distance(n)),
-            "local_sup_error": limits.local_limit_error(n, lo, hi, steps),
-        }
-        for n in sorted(set(args.n))
-    ]
+    rows = []
+    for n in sorted(set(args.n)):
+        # first, so a grid that breaks local_limit_error's rule fails before any D_n
+        local = limits.local_limit_error(n, *args.grid)
+        rows.append({**vars(limits.kolmogorov_distance(n)), "local_sup_error": local})
+    return rows
 
 
 def _cmd_local_table(args) -> List[Dict]:
@@ -186,25 +186,15 @@ def _cmd_singularity(args) -> List[Dict]:
     return rows
 
 
-def _add_common(parser: argparse.ArgumentParser, top: bool) -> None:
-    # accepted both before and after the subcommand; the subcommand copy uses
-    # SUPPRESS so it only overrides the top-level value when actually given
-    kwargs = {} if top else {"default": argparse.SUPPRESS}
-    parser.add_argument(
-        "--format",
-        choices=("json", "csv", "tsv"),
-        help="output format",
-        **({"default": "json"} if top else kwargs),
-    )
-    parser.add_argument("--output", help="write to PATH instead of stdout", **kwargs)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="morganvoyce",
         description="Exact coefficient-triangle tables and limit-theorem verification reports.",
     )
-    _add_common(parser, top=True)
+    parser.add_argument(
+        "--format", choices=("json", "csv", "tsv"), default="json", help="output format"
+    )
+    parser.add_argument("--output", help="write to PATH instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("triangle", help="coefficient rows 1..max-n")
@@ -235,9 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("singularity", help="growth constants, closed form and finite differences")
     p.add_argument("--h", type=float, action="append", required=True, help="repeatable step size")
     p.set_defaults(run=_cmd_singularity)
-
-    for sp in sub.choices.values():
-        _add_common(sp, top=False)
 
     return parser
 

@@ -124,14 +124,14 @@ def two_sig_renderings(x: float) -> set[str]:
 
 
 def test_01_golden_triangle_by_all_three_routes():
-    with gate("01 triangle rows 1..8 exact via three routes", budget=1.0):
-        tt = three_term_rows(8)
-        hh = hereditary_rows(8, lambda k: k)
+    with gate("01 triangle golden rows 1..8, three routes agree exactly for n <= 200", budget=1.0):
+        tt = three_term_rows(200)
+        hh = hereditary_rows(200, lambda k: k)
         for n, golden in GOLDEN_TRIANGLE.items():
             assert row_closed_form(n) == golden
-            assert tt[n] == golden
-            assert hh[n] == golden
             assert all(c.denominator == 1 for c in hh[n])
+        for n in range(1, 201):
+            assert row_closed_form(n) == tt[n] == hh[n]
 
 
 def test_03_closed_form_moments_match_weighted_sums_to_2000():

@@ -38,14 +38,6 @@ def test_triangle_json_single_row(capsys):
     assert json.loads(out)["rows"] == [{"n": "1", "coeffs": ["0", "1"]}]
 
 
-def test_common_flags_accepted_after_subcommand(capsys):
-    _, before, _ = run(capsys, "--format", "csv", "modes", "--max-n", "3")
-    _, after, _ = run(capsys, "modes", "--max-n", "3", "--format", "csv")
-    assert before == after
-    code, out, _ = run(capsys, "local-table", "--n", "10", "--format", "csv")
-    assert code == 0 and out.startswith("n,ratio,scaled_error")
-
-
 def test_triangle_json_round_trip_is_lossless(capsys):
     code, out, _ = run(capsys, "triangle", "--max-n", "40")
     assert code == 0
@@ -149,6 +141,7 @@ def test_clt_accepts_grid(capsys):
         (["pell", "--count", "1"], "k,m,n,j"),
         (["clt", "--n", "5"], "n,kolmogorov,be_bound,sigma,local_sup_error"),
         (["singularity", "--h", "1e-3"], "method,h,r0,r1,r2,a,b2"),
+        (["local-table", "--n", "10"], "n,ratio,scaled_error"),
     ],
 )
 def test_csv_headers(capsys, argv, header):
@@ -186,17 +179,25 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
-        cli.main(["clt", "--n", "10", "--grid", "3:-3:10"])
+        # --format and --output go before the command, and nowhere else
+        cli.main(["modes", "--max-n", "3", "--format", "csv"])
     assert exc.value.code == 2
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("grid", ["-inf:3:10", "-3:inf:10", "-1e308:1e308:10"])
-def test_clt_non_finite_grid_exits_2_with_one_line(capsys, grid):
+def _refuse(n):
+    raise AssertionError("a row or moment summary was built before the grid was checked")
+
+
+@pytest.mark.parametrize("grid", ["-inf:3:10", "-3:inf:10", "-1e308:1e308:10", "3:-3:10", "-3:3:1"])
+def test_clt_non_finite_grid_exits_2_with_one_line(capsys, monkeypatch, grid):
+    # local_limit_error owns the grid rule; clt calls it before anything else
+    monkeypatch.setattr(limits, "row_closed_form", _refuse)
+    monkeypatch.setattr(limits, "moment_summary", _refuse)
     code, out, err = run(capsys, "clt", "--n", "50", f"--grid={grid}")
     assert code == 2
     assert out == ""
-    assert len(err.splitlines()) == 1 and "finite x_hi - x_lo" in err
+    assert len(err.splitlines()) == 1 and "local_limit_error requires" in err
 
 
 def test_output_is_deterministic(capsys):

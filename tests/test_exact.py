@@ -48,11 +48,6 @@ def test_binom_out_of_range_is_zero():
         binom(5, True)
 
 
-def test_binom_rejects_negative_n():
-    with pytest.raises(ValueError):
-        binom(-1, 0)
-
-
 def test_binom_pascal_additivity_to_300():
     prev = [1]
     for n in range(1, 301):

@@ -88,6 +88,8 @@ def test_mean_rate_has_exact_leading_correction():
     for n in range(20, 1001, 7):
         s = moment_summary(n)
         assert abs(ratio_to_float(s.mu / n) - INV_SQRT5 - 2.0 / (5.0 * n)) < 1e-8
+    # the variance rate sigma^2/n tends to 2/(5 sqrt(5))
+    assert abs(ratio_to_float(moment_summary(1000).sigma2 / 1000) - B2) < 5e-4
 
 
 def test_variance_strictly_increases_to_500():
@@ -96,17 +98,3 @@ def test_variance_strictly_increases_to_500():
         cur = moment_summary(n).sigma2
         assert cur > prev
         prev = cur
-
-
-def test_kepler_gap_values():
-    # the rates mu/n and sigma^2/n, which tend to 1/sqrt(5) and 2/(5 sqrt(5))
-    def rates(n):
-        s = moment_summary(n)
-        return (s.mu / n, s.sigma2 / n)
-
-    assert rates(1) == (Fraction(1), Fraction(0))
-    assert rates(2) == (Fraction(2, 3), Fraction(1, 9))
-    mu_rate, var_rate = rates(1000)
-    assert abs(ratio_to_float(mu_rate) - 0.4472136) < 5e-4
-    assert abs(ratio_to_float(var_rate) - 0.1788854) < 5e-4
-

@@ -13,17 +13,8 @@ from morganvoyce import (
     hereditary_rows,
     reciprocal_row,
     row_closed_form,
-    three_term_rows,
     triangle,
 )
-
-def test_three_routes_agree_exactly_to_200(rows500):
-    tt = three_term_rows(200)
-    hh = hereditary_rows(200, lambda k: k)
-    for n in range(1, 201):
-        closed = rows500[n]
-        assert tt[n] == closed
-        assert hh[n] == closed
 
 
 def test_row_shape_invariants_to_500(rows500):
